@@ -223,21 +223,16 @@ func (s *SSDM) LoadTurtle(src string, graph rdf.IRI) error {
 	return s.loadTurtleLocked(src, graph)
 }
 
+// loadTurtleLocked parses and consolidates the document into a private
+// staging graph, then merges it through one transaction, so the whole
+// document is one atomically published version — readers never see a
+// half-loaded document, and a malformed one changes nothing — and,
+// with a WAL, one log batch. The staging graph's blank counter starts
+// at the target's so document blanks cannot collide with existing
+// ones; consolidation sees the incoming document, not the merged
+// graph.
 func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 	g := s.targetGraph(graph)
-	if !s.walEnabled() {
-		if err := turtle.ParseString(src, g); err != nil {
-			return err
-		}
-		return s.postLoad(g)
-	}
-	// Durable path: parse and consolidate into a staging graph first,
-	// then merge through a recorded transaction, so the whole document
-	// is one WAL batch and one atomically published version — readers
-	// never see (and the log never holds) a half-loaded document. The
-	// staging graph's blank counter starts at the target's so document
-	// blanks cannot collide with existing ones; consolidation sees the
-	// incoming document, not the merged graph.
 	stage := rdf.NewGraph()
 	stage.EnsureBlankNo(g.BlankNo())
 	if err := turtle.ParseString(src, stage); err != nil {
@@ -247,23 +242,10 @@ func (s *SSDM) loadTurtleLocked(src string, graph rdf.IRI) error {
 		return err
 	}
 	tx := g.Begin()
-	tx.Record(true)
-	stage.Triples(func(sub, p, o rdf.Term) bool {
-		tx.Add(sub, p, o)
-		return true
-	})
-	if tx.Changed() == 0 {
-		tx.Abort()
-		return nil
-	}
+	tx.Record(s.walEnabled())
+	tx.AddGraph(stage)
 	g.EnsureBlankNo(stage.BlankNo())
-	lsn, err := s.walAppendBatch(graph, tx.Ops(), stage.BlankNo())
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	if err := s.walFinish(lsn); err != nil {
+	if err := s.commitTx(tx, graph, stage.BlankNo()); err != nil {
 		return err
 	}
 	s.maybeCheckpointLocked()
@@ -719,24 +701,10 @@ func (s *SSDM) AddArrayTriple(subj rdf.Term, prop rdf.IRI, a *array.Array) error
 		val = rdf.NewArray(stored)
 	}
 	g := s.Dataset.Default
-	if !s.walEnabled() {
-		g.Add(subj, prop, val)
-		return nil
-	}
 	tx := g.Begin()
-	tx.Record(true)
+	tx.Record(s.walEnabled())
 	tx.Add(subj, prop, val)
-	if tx.Changed() == 0 {
-		tx.Abort()
-		return nil
-	}
-	lsn, err := s.walAppendBatch("", tx.Ops(), g.BlankNo())
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	return s.walFinish(lsn)
+	return s.commitTx(tx, "", g.BlankNo())
 }
 
 // Externalize moves every resident array in the default graph to the

@@ -148,6 +148,29 @@ func (s *SSDM) walAppendDefine(script string, index int) (uint64, error) {
 	return lsn, nil
 }
 
+// commitTx ends a load's write transaction: one that changed nothing
+// is aborted; otherwise, with a WAL, its recorded operations are
+// logged before it is published (memory never runs ahead of the log)
+// and the call waits for durability, and without one it is simply
+// committed. Either way the load becomes visible as one version.
+func (s *SSDM) commitTx(tx *rdf.Tx, graph rdf.IRI, blankNo int64) error {
+	if tx.Changed() == 0 {
+		tx.Abort()
+		return nil
+	}
+	if !s.walEnabled() {
+		tx.Commit()
+		return nil
+	}
+	lsn, err := s.walAppendBatch(graph, tx.Ops(), blankNo)
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	tx.Commit()
+	return s.walFinish(lsn)
+}
+
 // walFinish waits until the record at lsn is durable per the sync
 // policy. An error means the acknowledgement must not be sent.
 func (s *SSDM) walFinish(lsn uint64) error {
@@ -498,11 +521,24 @@ func (s *SSDM) applyWalRecord(typ byte, body []byte) error {
 	}
 }
 
+// applyBatch replays one batch record. Its triple operations go
+// through one transaction (a clear ends the open one), so each logged
+// statement is published as one version, as it was when logged.
 func (s *SSDM) applyBatch(rec recBatch) error {
 	graph := rdf.IRI(rec.Graph)
 	hasLink := false
+	var tx *rdf.Tx
+	defer func() {
+		if tx != nil {
+			tx.Abort() // a bad op fails recovery; publish none of its record
+		}
+	}()
 	for _, op := range rec.Ops {
 		if rdf.OpKind(op.K) == rdf.OpClear {
+			if tx != nil {
+				tx.Commit()
+				tx = nil
+			}
 			if rec.Graph == "" {
 				s.Dataset.Default.Clear()
 			} else {
@@ -525,15 +561,21 @@ func (s *SSDM) applyBatch(rec recBatch) error {
 		if tt, ok := ot.(rdf.Typed); ok && tt.Datatype == rdf.SSDMFileLink {
 			hasLink = true
 		}
-		g := s.targetGraph(graph)
+		if tx == nil {
+			tx = s.targetGraph(graph).Begin()
+		}
 		switch rdf.OpKind(op.K) {
 		case rdf.OpAdd:
-			g.Add(st, pt, ot)
+			tx.Add(st, pt, ot)
 		case rdf.OpDelete:
-			g.Delete(st, pt, ot)
+			tx.Delete(st, pt, ot)
 		default:
 			return fmt.Errorf("unknown op kind %d", op.K)
 		}
+	}
+	if tx != nil {
+		tx.Commit()
+		tx = nil
 	}
 	if rec.Blank > 0 {
 		s.targetGraph(graph).EnsureBlankNo(rec.Blank)

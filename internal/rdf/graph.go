@@ -30,9 +30,10 @@ type Triple struct {
 // main-memory RDF stores discussed in §2.2.3) and the triple count.
 // States are published through an atomic pointer and never mutated
 // after publication; writers derive a successor by structural sharing
-// (pmap.go) and swing the pointer. Per-position cardinalities are not
-// separate counters: each middle index level carries its subtree's
-// triple total, so CountMatch/PredStats stay cheap.
+// (pmap.go), editing only nodes they allocated themselves, and swing
+// the pointer. Per-position cardinalities are not separate counters:
+// each middle index level carries its subtree's triple total, so
+// CountMatch/PredStats stay cheap.
 type graphState struct {
 	spo, pos, osp, pso *pmNode[*pmid]
 	size               int
@@ -144,6 +145,10 @@ type Graph struct {
 	// wmu serializes writers: bare Add/Delete, transactions (held from
 	// Begin to Commit/Abort) and Clear.
 	wmu sync.Mutex
+
+	// edit is the last edit stamp handed to a writer (nextEdit);
+	// guarded by wmu.
+	edit uint32
 
 	// frozen marks a Snapshot: writes panic, reads serve the pinned
 	// state forever.
@@ -271,31 +276,50 @@ func (g *Graph) publish(st *graphState) {
 	g.state.Store(st)
 }
 
-// add inserts into a state in place (the state must be a private,
-// not-yet-published copy).
-func (st *graphState) add(s, p, o ID) bool {
-	spo, added := idxAdd(st.spo, s, p, o)
-	if !added {
+// nextEdit hands out a fresh edit stamp for one write (a transaction
+// or a bare Add/Delete); nodes carrying it belong to that write alone
+// (see "Transient edits" in pmap.go). Caller holds wmu. A stamp must
+// never repeat while a node carrying it is reachable from the current
+// state — the next holder would edit published memory — so when the
+// counter wraps, every stamp reachable from the current state is reset
+// to 0 (never handed out) before counting restarts at 1. Readers never
+// read stamps, so rewriting them under wmu does not disturb them.
+func (g *Graph) nextEdit() uint32 {
+	g.edit++
+	if g.edit == 0 {
+		st := g.cur()
+		idxClearEdits(st.spo)
+		idxClearEdits(st.pos)
+		idxClearEdits(st.osp)
+		idxClearEdits(st.pso)
+		g.edit = 1
+	}
+	return g.edit
+}
+
+// add inserts into a private, not-yet-published state, editing the
+// nodes stamped e in place.
+func (st *graphState) add(s, p, o ID, e uint32) bool {
+	if st.has(s, p, o) {
 		return false
 	}
-	st.spo = spo
-	st.pos, _ = idxAdd(st.pos, p, o, s)
-	st.osp, _ = idxAdd(st.osp, o, s, p)
-	st.pso, _ = idxAdd(st.pso, p, s, o)
+	st.spo = idxAdd(st.spo, s, p, o, e)
+	st.pos = idxAdd(st.pos, p, o, s, e)
+	st.osp = idxAdd(st.osp, o, s, p, e)
+	st.pso = idxAdd(st.pso, p, s, o, e)
 	st.size++
 	return true
 }
 
-// del removes from a state in place (same contract as add).
-func (st *graphState) del(s, p, o ID) bool {
-	spo, removed := idxDel(st.spo, s, p, o)
-	if !removed {
+// del removes from a private state (same contract as add).
+func (st *graphState) del(s, p, o ID, e uint32) bool {
+	if !st.has(s, p, o) {
 		return false
 	}
-	st.spo = spo
-	st.pos, _ = idxDel(st.pos, p, o, s)
-	st.osp, _ = idxDel(st.osp, o, s, p)
-	st.pso, _ = idxDel(st.pso, p, s, o)
+	st.spo = idxDel(st.spo, s, p, o, e)
+	st.pos = idxDel(st.pos, p, o, s, e)
+	st.osp = idxDel(st.osp, o, s, p, e)
+	st.pso = idxDel(st.pso, p, s, o, e)
 	st.size--
 	return true
 }
@@ -319,7 +343,7 @@ func (g *Graph) AddIDs(s, p, o ID) bool {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
 	st := *g.cur()
-	if !st.add(s, p, o) {
+	if !st.add(s, p, o, g.nextEdit()) {
 		return false
 	}
 	g.publish(&st)
@@ -350,7 +374,7 @@ func (g *Graph) DeleteIDs(s, p, o ID) bool {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
 	st := *g.cur()
-	if !st.del(s, p, o) {
+	if !st.del(s, p, o, g.nextEdit()) {
 		return false
 	}
 	g.publish(&st)
@@ -416,9 +440,17 @@ type Op struct {
 // themselves; readers are never blocked. With recording enabled, the
 // transaction collects the effective (state-changing) operations in
 // application order for the write-ahead log.
+//
+// A transaction is transient: it copies a published trie node the
+// first time it changes it and edits its own copies in place from
+// then on, so bulk writers (parsers, loads, result graphs) should
+// funnel all their triples through one Tx — the cost per triple is then
+// a few owned-node edits instead of a root-to-leaf path copy in each
+// of the four indexes.
 type Tx struct {
 	g    *Graph
 	st   graphState
+	edit uint32
 	done bool
 
 	record bool
@@ -434,7 +466,7 @@ type Tx struct {
 func (g *Graph) Begin() *Tx {
 	g.checkWritable()
 	g.wmu.Lock()
-	return &Tx{g: g, st: *g.cur()}
+	return &Tx{g: g, st: *g.cur(), edit: g.nextEdit()}
 }
 
 // Record enables (or disables) operation recording for Ops.
@@ -450,16 +482,25 @@ func (t *Tx) Changed() int { return t.changed }
 // Size returns the staged triple count (as it will be after Commit).
 func (t *Tx) Size() int { return t.st.size }
 
+// checkOpen refuses writes after Commit or Abort: the nodes the
+// transaction owned may be published by then.
+func (t *Tx) checkOpen() {
+	if t.done {
+		panic("rdf: write on a finished transaction")
+	}
+}
+
 // Add stages a triple insert; false when already present in the staged
 // state.
 func (t *Tx) Add(s, p, o Term) bool {
+	t.checkOpen()
 	si, fs := t.g.dict.intern(s, s.Key())
 	pi, fp := t.g.dict.intern(p, p.Key())
 	oi, fo := t.g.dict.intern(o, o.Key())
 	if fs || fp || fo {
 		t.g.gen.Add(1)
 	}
-	if !t.st.add(si, pi, oi) {
+	if !t.st.add(si, pi, oi, t.edit) {
 		return false
 	}
 	t.changed++
@@ -469,9 +510,50 @@ func (t *Tx) Add(s, p, o Term) bool {
 	return true
 }
 
+// AddGraph stages every triple of src, a graph with its own
+// dictionary such as a load's staging graph, and returns how many were
+// new. Each term src's triples use is interned once, in src's ID order
+// — for a parsed document, the order of first appearance — so the
+// target assigns IDs as parsing straight into it would have.
+func (t *Tx) AddGraph(src *Graph) int {
+	t.checkOpen()
+	spo := src.cur().spo
+	ids := make([]ID, src.dict.len()+1) // src ID -> target ID; 0 = unused
+	matchTop(nil, spo, func(tr Triple) bool {
+		ids[tr.S], ids[tr.P], ids[tr.O] = 1, 1, 1
+		return true
+	})
+	fresh := false
+	for id := range ids {
+		if ids[id] != 0 {
+			term := src.dict.termOf(ID(id))
+			var f bool
+			ids[id], f = t.g.dict.intern(term, term.Key())
+			fresh = fresh || f
+		}
+	}
+	if fresh {
+		t.g.gen.Add(1)
+	}
+	added := 0
+	matchTop(nil, spo, func(tr Triple) bool {
+		if !t.st.add(ids[tr.S], ids[tr.P], ids[tr.O], t.edit) {
+			return true
+		}
+		added++
+		if t.record {
+			t.ops = append(t.ops, Op{Kind: OpAdd, S: src.TermOf(tr.S), P: src.TermOf(tr.P), O: src.TermOf(tr.O)})
+		}
+		return true
+	})
+	t.changed += added
+	return added
+}
+
 // Delete stages a triple removal; false when absent from the staged
 // state.
 func (t *Tx) Delete(s, p, o Term) bool {
+	t.checkOpen()
 	si, ok := t.g.dict.lookup(s.Key())
 	if !ok {
 		return false
@@ -484,7 +566,7 @@ func (t *Tx) Delete(s, p, o Term) bool {
 	if !ok {
 		return false
 	}
-	if !t.st.del(si, pi, oi) {
+	if !t.st.del(si, pi, oi, t.edit) {
 		return false
 	}
 	t.changed++
@@ -495,7 +577,9 @@ func (t *Tx) Delete(s, p, o Term) bool {
 }
 
 // Commit publishes the staged state: all of the transaction's changes
-// become visible to new readers at once.
+// become visible to new readers at once, with one pointer store. The
+// transaction's stamp retires with it, so the nodes it edited in place
+// are frozen from here on.
 func (t *Tx) Commit() {
 	if t.done {
 		return

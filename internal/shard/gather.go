@@ -279,13 +279,14 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	masks = dedupMasks(masks)
 
 	ds := rdf.NewDataset()
-	scratch := ds.Default
 
-	// Shard scans run concurrently; adds serialize on one mutex (the
-	// scratch graph is single-writer). Blank labels are globally
-	// unique by construction (the coordinator rewrites them at load
-	// routing), so merging needs no renaming.
+	// Shard scans run concurrently; adds serialize on one mutex into a
+	// single transaction over the scratch graph, published once when
+	// every leg is in. Blank labels are globally unique by construction
+	// (the coordinator rewrites them at load routing), so merging needs
+	// no renaming.
 	var mu sync.Mutex
+	tx := ds.Default.Begin()
 	err := c.scatter(ctx, func(ctx context.Context, i int, sh Shard) error {
 		for _, m := range masks {
 			if err := engine.ContextErr(ctx); err != nil {
@@ -297,7 +298,7 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 			err := sh.Scan(ctx, m.s, m.p, m.o, func(s, p, o rdf.Term) bool {
 				n++
 				mu.Lock()
-				scratch.Add(s, p, o)
+				tx.Add(s, p, o)
 				mu.Unlock()
 				return true
 			})
@@ -310,8 +311,10 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 		return nil
 	})
 	if err != nil {
+		tx.Abort()
 		return nil, err
 	}
+	tx.Commit()
 
 	// A fresh engine over the scratch dataset, sharing the node's
 	// function registry (user-defined functions and aggregates) and

@@ -17,6 +17,7 @@ type Parser struct {
 	lex      *lexer
 	tok      token
 	graph    *rdf.Graph
+	tx       *rdf.Tx
 	prefixes map[string]string
 	base     string
 	blanks   map[string]rdf.Blank
@@ -31,11 +32,16 @@ func Parse(r io.Reader, g *rdf.Graph) error {
 	return ParseString(string(src), g)
 }
 
-// ParseString parses a Turtle document given as a string into g.
+// ParseString parses a Turtle document given as a string into g. The
+// whole document goes through one write transaction: readers of g see
+// all of its triples or none, and a syntax error leaves g unchanged.
 func ParseString(src string, g *rdf.Graph) error {
+	tx := g.Begin()
+	defer tx.Abort() // no-op after Commit
 	p := &Parser{
 		lex:      newLexer(src),
 		graph:    g,
+		tx:       tx,
 		prefixes: map[string]string{},
 		blanks:   map[string]rdf.Blank{},
 	}
@@ -47,6 +53,7 @@ func ParseString(src string, g *rdf.Graph) error {
 			return err
 		}
 	}
+	tx.Commit()
 	return nil
 }
 
@@ -199,7 +206,7 @@ func (p *Parser) predicateObjectList(subj rdf.Term) error {
 			if err != nil {
 				return err
 			}
-			p.graph.Add(subj, pred, obj)
+			p.tx.Add(subj, pred, obj)
 			if p.tok.kind == tokPunct && p.tok.text == "," {
 				if err := p.advance(); err != nil {
 					return err
@@ -403,12 +410,12 @@ func (p *Parser) collection() (rdf.Term, error) {
 	head := rdf.Term(p.graph.NewBlank())
 	cur := head
 	for i, item := range items {
-		p.graph.Add(cur, rdf.RDFFirst, item)
+		p.tx.Add(cur, rdf.RDFFirst, item)
 		if i == len(items)-1 {
-			p.graph.Add(cur, rdf.RDFRest, rdf.RDFNil)
+			p.tx.Add(cur, rdf.RDFRest, rdf.RDFNil)
 		} else {
 			next := p.graph.NewBlank()
-			p.graph.Add(cur, rdf.RDFRest, next)
+			p.tx.Add(cur, rdf.RDFRest, next)
 			cur = next
 		}
 	}
