@@ -41,11 +41,10 @@
 package main
 
 import (
-	_ "expvar" // registers /debug/vars on the default HTTP mux
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on the default HTTP mux
 	"os"
 	"strings"
 	"time"
@@ -77,9 +76,11 @@ func main() {
 	flag.Parse()
 
 	if *metricsAddr != "" {
-		http.Handle("/metrics", metrics.Default().Handler())
+		// An owned server over the registry's own mux, as in ssdm-server.
+		srv := &http.Server{Addr: *metricsAddr, Handler: metrics.Default().DebugMux()}
+		defer srv.Close()
 		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
+			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "ssdm-bench: metrics listener: %v\n", err)
 			}
 		}()

@@ -58,16 +58,6 @@ type Options struct {
 	// batch-at-a-time execution entirely (pure tuple path).
 	BatchSize int
 
-	// DisableVecAgg turns off batch-native aggregation (GROUP
-	// BY/aggregate folding over ID columns) while leaving the rest of
-	// vectorized execution on.
-	DisableVecAgg bool
-
-	// VecTopK bounds the ORDER BY + LIMIT top-K pushdown: the bounded
-	// heap engages when OFFSET+LIMIT is at most this value. 0 uses the
-	// engine default (4096), negative disables the pushdown.
-	VecTopK int
-
 	// ChunkCacheBytes sets the byte budget of the process-wide chunk
 	// cache array proxies fetch into: 0 leaves the current budget
 	// (array.DefaultChunkCacheBytes unless already reconfigured),
@@ -174,8 +164,6 @@ func OpenWith(opts Options) *SSDM {
 	ds := rdf.NewDataset()
 	eng := engine.New(ds)
 	eng.BatchSize = opts.BatchSize
-	eng.DisableVecAgg = opts.DisableVecAgg
-	eng.VecTopK = opts.VecTopK
 	return &SSDM{
 		Dataset:  ds,
 		Engine:   eng,

@@ -47,25 +47,21 @@ type Engine struct {
 	// entirely (pure tuple-at-a-time, the pre-vectorization behavior).
 	BatchSize int
 
-	// DisableVecAgg turns off batch-native aggregation (the GROUP
-	// BY/aggregate fast path over ID columns) while leaving the rest of
-	// vectorized execution on — the ablation knob for experiment E11.
-	DisableVecAgg bool
-
-	// VecTopK bounds the ORDER BY + LIMIT top-K pushdown: the bounded
-	// heap is used when OFFSET+LIMIT <= VecTopK. 0 uses the default
-	// (4096); a negative value disables the pushdown (full sort always).
-	VecTopK int
-
-	// Vectorized-execution counters, exposed through VecStats.
-	vecQueries     atomic.Int64
-	vecBatches     atomic.Int64
-	vecRows        atomic.Int64
-	vecAggQueries  atomic.Int64
-	vecAggGroups   atomic.Int64
-	vecSortQueries atomic.Int64
-	vecTopKQueries atomic.Int64
+	// vec holds the vectorized-execution counters behind VecStats;
+	// engines derived with WithDataset share them.
+	vec *vecCounters
 }
+
+// vecCounters are an engine's cumulative vectorized-execution counters.
+type vecCounters struct {
+	queries, batches, rows   atomic.Int64
+	aggQueries, aggGroups    atomic.Int64
+	sortQueries, topKQueries atomic.Int64
+}
+
+// vecTopK is the largest OFFSET+LIMIT bound the ORDER BY top-K
+// pushdown serves from a bounded heap; larger bounds sort in full.
+const vecTopK = 4096
 
 // effBatchSize resolves the BatchSize knob: rows per batch, or <= 0
 // meaning batch execution is off.
@@ -74,18 +70,6 @@ func (e *Engine) effBatchSize() int {
 		return rdf.DefaultBatchSize
 	}
 	return e.BatchSize
-}
-
-// effTopK resolves the VecTopK knob: the largest OFFSET+LIMIT bound the
-// ORDER BY top-K pushdown accepts. Negative VecTopK disables it.
-func (e *Engine) effTopK() int {
-	if e.VecTopK == 0 {
-		return 4096
-	}
-	if e.VecTopK < 0 {
-		return -1
-	}
-	return e.VecTopK
 }
 
 // VecStats reports cumulative vectorized-execution activity: how many
@@ -110,22 +94,32 @@ type VecStats struct {
 // counters.
 func (e *Engine) VecStats() VecStats {
 	return VecStats{
-		Queries:     e.vecQueries.Load(),
-		Batches:     e.vecBatches.Load(),
-		Rows:        e.vecRows.Load(),
-		AggQueries:  e.vecAggQueries.Load(),
-		AggGroups:   e.vecAggGroups.Load(),
-		SortQueries: e.vecSortQueries.Load(),
-		TopKQueries: e.vecTopKQueries.Load(),
+		Queries:     e.vec.queries.Load(),
+		Batches:     e.vec.batches.Load(),
+		Rows:        e.vec.rows.Load(),
+		AggQueries:  e.vec.aggQueries.Load(),
+		AggGroups:   e.vec.aggGroups.Load(),
+		SortQueries: e.vec.sortQueries.Load(),
+		TopKQueries: e.vec.topKQueries.Load(),
 	}
 }
 
 // New creates an engine over a dataset with the standard function
 // library registered.
 func New(ds *rdf.Dataset) *Engine {
-	e := &Engine{Dataset: ds, Funcs: NewRegistry()}
+	e := &Engine{Dataset: ds, Funcs: NewRegistry(), vec: &vecCounters{}}
 	registerStdlib(e.Funcs)
 	return e
+}
+
+// WithDataset returns an engine over another dataset that shares e's
+// configuration, function registry and counters — what a shard
+// coordinator uses to evaluate a gathered scratch dataset as if the
+// node's own engine ran it.
+func (e *Engine) WithDataset(ds *rdf.Dataset) *Engine {
+	o := *e
+	o.Dataset = ds
+	return &o
 }
 
 // ForeignFunc is the Go signature of a foreign function (§4.4):

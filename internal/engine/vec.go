@@ -860,9 +860,9 @@ func (pl *vecPlan) runWithBudget(c *evalCtx, budget int, final vecSink) error {
 		}
 	}
 	err := pl.ops[0].push(c, pl, nil, outs[0])
-	c.eng.vecQueries.Add(1)
-	c.eng.vecBatches.Add(batches)
-	c.eng.vecRows.Add(rows)
+	c.eng.vec.queries.Add(1)
+	c.eng.vec.batches.Add(batches)
+	c.eng.vec.rows.Add(rows)
 	if c.trace != nil {
 		c.trace.vectorized = true
 		c.trace.vecBatches += batches
@@ -1346,7 +1346,7 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 	// OFFSET+LIMIT surviving rows (with DISTINCT the dedup happens
 	// before accumulation). With ORDER BY every row must be seen, but
 	// ORDER BY + LIMIT keeps only a bounded top-K heap of rows when the
-	// bound fits under the engine's VecTopK knob.
+	// bound is at most vecTopK.
 	stopAt := -1
 	if q.Limit >= 0 && !ordered {
 		stopAt = q.Offset + q.Limit
@@ -1357,7 +1357,7 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 	}
 	topK := -1
 	if ordered && q.Limit >= 0 && !q.Distinct && earlyCap < 0 {
-		if bound := q.Offset + q.Limit; bound <= c.eng.effTopK() {
+		if bound := q.Offset + q.Limit; bound <= vecTopK {
 			topK = bound
 		}
 	}
@@ -1529,9 +1529,9 @@ func (c *evalCtx) vecSelect(q *sparql.Query, rowCap, earlyCap int) (*Results, bo
 		stopSort := c.trace.startPhase(phaseSort)
 		sort.Slice(order, func(i, j int) bool { return less(order[i], order[j]) })
 		stopSort()
-		c.eng.vecSortQueries.Add(1)
+		c.eng.vec.sortQueries.Add(1)
 		if topK >= 0 {
-			c.eng.vecTopKQueries.Add(1)
+			c.eng.vec.topKQueries.Add(1)
 		}
 		if c.trace != nil {
 			c.trace.vecSortRows += int64(len(order))

@@ -381,6 +381,21 @@ func TestVecStatsCounters(t *testing.T) {
 	if after.Queries != before.Queries+1 || after.Rows <= before.Rows {
 		t.Fatalf("vec counters did not advance: %+v -> %+v", before, after)
 	}
+	// The batch-native aggregation and top-K sort fast paths engage on
+	// their corpus shapes (TestBatchTupleEquivalence and
+	// TestBatchTupleEquivalenceOrdered check their rows against the tuple
+	// path).
+	for _, src := range []string{
+		`PREFIX ex: <http://ex/> SELECT ?a (COUNT(?s) AS ?n) WHERE { ?s ex:age ?a } GROUP BY ?a ORDER BY ?a`,
+		`PREFIX ex: <http://ex/> SELECT ?s ?a WHERE { ?s ex:age ?a } ORDER BY DESC(?a) ?s LIMIT 5`,
+	} {
+		if _, err := e.QueryString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fast := e.VecStats(); fast.AggQueries == after.AggQueries || fast.TopKQueries == after.TopKQueries {
+		t.Fatalf("fast paths skipped: %+v -> %+v", after, fast)
+	}
 	e.BatchSize = -1
 	mid := e.VecStats()
 	if _, err := e.QueryString(`PREFIX ex: <http://ex/> SELECT ?s ?a WHERE { ?s ex:age ?a }`); err != nil {
@@ -533,40 +548,6 @@ func TestVecUnionOptionalPlanRefresh(t *testing.T) {
 		if got := count(); got != want {
 			t.Fatalf("%q after insert: %d rows, want %d (stale branch constant IDs?)", src, got, want)
 		}
-	}
-}
-
-// TestVecKnobAblations: DisableVecAgg and VecTopK=-1 turn their fast
-// paths off without changing results.
-func TestVecKnobAblations(t *testing.T) {
-	aggQ := `PREFIX ex: <http://ex/> SELECT ?a (COUNT(?s) AS ?n) WHERE { ?s ex:age ?a } GROUP BY ?a ORDER BY ?a`
-	topkQ := `PREFIX ex: <http://ex/> SELECT ?s ?a WHERE { ?s ex:age ?a } ORDER BY DESC(?a) ?s LIMIT 5`
-
-	base := vecTestEngine(t)
-	ablated := vecTestEngine(t)
-	ablated.DisableVecAgg = true
-	ablated.VecTopK = -1
-
-	for _, src := range []string{aggQ, topkQ} {
-		want, err := base.QueryString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ablated.QueryString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, g := canonRows(want), canonRows(got)
-		if strings.Join(w, "\n") != strings.Join(g, "\n") {
-			t.Fatalf("%q: ablated engine differs:\n%v\nvs\n%v", src, w, g)
-		}
-	}
-	bs, as := base.VecStats(), ablated.VecStats()
-	if bs.AggQueries == 0 || bs.TopKQueries == 0 {
-		t.Fatalf("base engine skipped fast paths: %+v", bs)
-	}
-	if as.AggQueries != 0 || as.TopKQueries != 0 {
-		t.Fatalf("ablated engine used disabled fast paths: %+v", as)
 	}
 }
 

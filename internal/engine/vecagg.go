@@ -92,7 +92,7 @@ type vecAggState struct {
 // GROUP BY variables plus "#aggN" registers, HAVING already applied,
 // groups in first-encounter order.
 func (e *Engine) vecAggregate(ctx *evalCtx, q *sparql.Query, initial Binding, specs []aggSpec) ([]Binding, bool, error) {
-	if e.DisableVecAgg || len(initial) != 0 || q.Where == nil {
+	if len(initial) != 0 || q.Where == nil {
 		return nil, false, nil
 	}
 	pl := ctx.vecPlanFor(q.Where)
@@ -250,8 +250,8 @@ func (e *Engine) vecAggregate(ctx *evalCtx, q *sparql.Query, initial Binding, sp
 		groups = append(groups, ng)
 	}
 
-	e.vecAggQueries.Add(1)
-	e.vecAggGroups.Add(int64(len(groups)))
+	e.vec.aggQueries.Add(1)
+	e.vec.aggGroups.Add(int64(len(groups)))
 	if ctx.trace != nil {
 		ctx.trace.vecAggGroups += int64(len(groups))
 	}

@@ -45,9 +45,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // CounterVec is a family of counters partitioned by one label.
 type CounterVec struct {
-	label string
-	mu    sync.Mutex
-	m     map[string]*Counter
+	mu sync.Mutex
+	m  map[string]*Counter
 }
 
 // With returns the counter for a label value, creating it on first use.
@@ -62,20 +61,16 @@ func (cv *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// snapshot returns the label values sorted with their counters.
-func (cv *CounterVec) snapshot() ([]string, []*Counter) {
+// samples returns the family's values sorted by label value.
+func (cv *CounterVec) samples() []Sample {
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
-	keys := make([]string, 0, len(cv.m))
-	for k := range cv.m {
-		keys = append(keys, k)
+	out := make([]Sample, 0, len(cv.m))
+	for k, c := range cv.m {
+		out = append(out, Sample{Label: k, Value: float64(c.Value())})
 	}
-	sort.Strings(keys)
-	out := make([]*Counter, len(keys))
-	for i, k := range keys {
-		out[i] = cv.m[k]
-	}
-	return keys, out
+	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
+	return out
 }
 
 // Histogram is a fixed-bucket cumulative histogram of float64
@@ -116,13 +111,59 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// metric is one registered instrument with its metadata.
+// Sample is one value of a series: the label value within a labelled
+// family ("" for an unlabelled series) and the series value.
+type Sample struct {
+	Label string
+	Value float64
+}
+
+// metric is one registered instrument with its metadata. Every
+// instrument but a histogram renders through its samples reader; inst
+// is the handle Counter, CounterVec or Histogram returned, handed out
+// again on re-registration (registering one name as two kinds of
+// counter is a programming error and panics).
 type metric struct {
 	name, help, typ string
-	counter         *Counter
-	vec             *CounterVec
+	label           string // label name of a labelled family
+	samples         func() []Sample
 	hist            *Histogram
-	gauge           func() float64
+	inst            any
+}
+
+// single adapts a one-series reader to a samples reader.
+func single(fn func() float64) func() []Sample {
+	return func() []Sample { return []Sample{{Value: fn()}} }
+}
+
+// each emits the metric's samples as (series key, value) pairs, the
+// key being the name plus any label set. Histogram buckets are emitted
+// only when buckets is set; _sum and _count always are.
+func (m *metric) each(buckets bool, emit func(key string, v float64)) {
+	if h := m.hist; h != nil {
+		if buckets {
+			cum := int64(0)
+			for i, b := range h.bounds {
+				cum += h.counts[i].Load()
+				emit(labelled(m.name+"_bucket", "le", formatBound(b)), float64(cum))
+			}
+			emit(labelled(m.name+"_bucket", "le", "+Inf"), float64(h.Count()))
+		}
+		emit(m.name+"_sum", h.Sum())
+		emit(m.name+"_count", float64(h.Count()))
+		return
+	}
+	for _, s := range m.samples() {
+		if m.label == "" {
+			emit(m.name, s.Value)
+		} else {
+			emit(labelled(m.name, m.label, s.Label), s.Value)
+		}
+	}
+}
+
+func labelled(name, label, value string) string {
+	return fmt.Sprintf("%s{%s=%q}", name, label, value)
 }
 
 // Registry holds named instruments and renders them in the Prometheus
@@ -159,11 +200,12 @@ func (r *Registry) lookup(name, typ string) *metric {
 func (r *Registry) Counter(name, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.lookup(name, "counter"); m != nil && m.counter != nil {
-		return m.counter
+	if m := r.lookup(name, "counter"); m != nil {
+		return m.inst.(*Counter)
 	}
 	c := &Counter{}
-	r.add(&metric{name: name, help: help, typ: "counter", counter: c})
+	r.add(&metric{name: name, help: help, typ: "counter", inst: c,
+		samples: single(func() float64 { return float64(c.Value()) })})
 	return c
 }
 
@@ -172,11 +214,11 @@ func (r *Registry) Counter(name, help string) *Counter {
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.lookup(name, "counter"); m != nil && m.vec != nil {
-		return m.vec
+	if m := r.lookup(name, "counter"); m != nil {
+		return m.inst.(*CounterVec)
 	}
-	cv := &CounterVec{label: label, m: map[string]*Counter{}}
-	r.add(&metric{name: name, help: help, typ: "counter", vec: cv})
+	cv := &CounterVec{m: map[string]*Counter{}}
+	r.add(&metric{name: name, help: help, typ: "counter", label: label, samples: cv.samples, inst: cv})
 	return cv
 }
 
@@ -186,13 +228,13 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m := r.lookup(name, "histogram"); m != nil {
-		return m.hist
+		return m.inst.(*Histogram)
 	}
 	if buckets == nil {
 		buckets = DefBuckets
 	}
 	h := &Histogram{bounds: buckets, counts: make([]atomic.Int64, len(buckets))}
-	r.add(&metric{name: name, help: help, typ: "histogram", hist: h})
+	r.add(&metric{name: name, help: help, typ: "histogram", hist: h, inst: h})
 	return h
 }
 
@@ -201,13 +243,33 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // process-wide state like "triples loaded" when an instance is
 // replaced.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.register(&metric{name: name, help: help, typ: "gauge", samples: single(fn)})
+}
+
+// CounterFunc registers a counter whose monotonic value fn reads at
+// scrape time from the component that owns it. Re-registering a name
+// replaces the callback, as GaugeFunc does.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.register(&metric{name: name, help: help, typ: "counter", samples: single(fn)})
+}
+
+// CounterFuncVec registers a counter family partitioned by label whose
+// samples fn reads at scrape time. Re-registering a name replaces the
+// callback.
+func (r *Registry) CounterFuncVec(name, help, label string, fn func() []Sample) {
+	r.register(&metric{name: name, help: help, typ: "counter", label: label, samples: fn})
+}
+
+// register adds a scrape-time metric, or swaps the reader of an
+// existing one of the same type.
+func (r *Registry) register(m *metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.lookup(name, "gauge"); m != nil {
-		m.gauge = fn
+	if old := r.lookup(m.name, m.typ); old != nil {
+		old.label, old.samples = m.label, m.samples
 		return
 	}
-	r.add(&metric{name: name, help: help, typ: "gauge", gauge: fn})
+	r.add(m)
 }
 
 func (r *Registry) add(m *metric) {
@@ -216,42 +278,51 @@ func (r *Registry) add(m *metric) {
 	sort.Strings(r.order)
 }
 
+// metricsCopy returns the registered metrics, sorted by name, copied
+// under the lock so readers swapped in by a later registration cannot
+// race the caller.
+func (r *Registry) metricsCopy() []metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ms := make([]metric, 0, len(r.order))
+	for _, name := range r.order {
+		ms = append(ms, *r.metrics[name])
+	}
+	return ms
+}
+
 // WritePrometheus renders every registered instrument in the Prometheus
 // text exposition format, sorted by metric name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	ms := make([]*metric, 0, len(r.order))
-	for _, name := range r.order {
-		ms = append(ms, r.metrics[name])
-	}
-	r.mu.Unlock()
-
 	var sb strings.Builder
-	for _, m := range ms {
+	for _, m := range r.metricsCopy() {
 		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		switch {
-		case m.counter != nil:
-			fmt.Fprintf(&sb, "%s %d\n", m.name, m.counter.Value())
-		case m.vec != nil:
-			keys, counters := m.vec.snapshot()
-			for i, k := range keys {
-				fmt.Fprintf(&sb, "%s{%s=%q} %d\n", m.name, m.vec.label, k, counters[i].Value())
-			}
-		case m.hist != nil:
-			cum := int64(0)
-			for i, b := range m.hist.bounds {
-				cum += m.hist.counts[i].Load()
-				fmt.Fprintf(&sb, "%s_bucket{le=%q} %d\n", m.name, formatBound(b), cum)
-			}
-			fmt.Fprintf(&sb, "%s_bucket{le=\"+Inf\"} %d\n", m.name, m.hist.Count())
-			fmt.Fprintf(&sb, "%s_sum %v\n", m.name, m.hist.Sum())
-			fmt.Fprintf(&sb, "%s_count %d\n", m.name, m.hist.Count())
-		case m.gauge != nil:
-			fmt.Fprintf(&sb, "%s %v\n", m.name, m.gauge())
-		}
+		m.each(true, func(key string, v float64) { fmt.Fprintf(&sb, "%s %s\n", key, formatValue(v)) })
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// Snapshot returns the current value of every series keyed as in the
+// exposition: the metric name, plus its label set for labelled
+// families (`ssdm_requests_total{op="query"}`). Histograms contribute
+// their _sum and _count series.
+func (r *Registry) Snapshot() map[string]float64 {
+	out := map[string]float64{}
+	for _, m := range r.metricsCopy() {
+		m.each(false, func(key string, v float64) { out[key] = v })
+	}
+	return out
+}
+
+// formatValue renders a sample value: integral values as integers (a
+// counter of a million is "1000000", not "1e+06"), others in the
+// shortest float form.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func formatBound(b float64) string {

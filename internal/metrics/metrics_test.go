@@ -110,8 +110,12 @@ func TestConcurrentUse(t *testing.T) {
 				cv.With([]string{"a", "b", "c"}[n%3]).Inc()
 				h.Observe(float64(j) / 1000)
 				if j%100 == 0 {
+					// Re-registering a func series (a second server
+					// on a shared registry) races scrapes and snapshots.
+					r.CounterFunc("cc_reads_total", "help", func() float64 { return float64(n) })
 					var sb strings.Builder
 					_ = r.WritePrometheus(&sb)
+					_ = r.Snapshot()
 				}
 			}
 		}(i)
@@ -122,5 +126,54 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if h.Count() != 4000 {
 		t.Errorf("cc_seconds count = %d, want 4000", h.Count())
+	}
+}
+
+func TestFuncSeriesAndSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("app_requests_total", "Total requests.").Add(3)
+	r.CounterVec("app_ops_total", "Ops by kind.", "op").With("query").Add(2)
+	r.Histogram("app_latency_seconds", "Latency.", []float64{1}).Observe(0.5)
+	r.GaugeFunc("app_temperature", "Current value.", func() float64 { return 21.5 })
+	r.CounterFunc("app_reads_total", "Reads.", func() float64 { return 1 })
+	// Re-registering a func series swaps its reader.
+	r.CounterFunc("app_reads_total", "Reads.", func() float64 { return 2e6 })
+	r.CounterFuncVec("app_peer_rows_total", "Rows per peer.", "peer", func() []Sample {
+		return []Sample{{Label: "a", Value: 4}, {Label: "b", Value: 5}}
+	})
+
+	want := map[string]float64{
+		"app_requests_total":            3,
+		`app_ops_total{op="query"}`:     2,
+		"app_latency_seconds_sum":       0.5,
+		"app_latency_seconds_count":     1,
+		"app_temperature":               21.5,
+		"app_reads_total":               2e6,
+		`app_peer_rows_total{peer="a"}`: 4,
+		`app_peer_rows_total{peer="b"}`: 5,
+	}
+	got := r.Snapshot()
+	if len(got) != len(want) {
+		t.Errorf("snapshot has %d series, want %d: %v", len(got), len(want), got)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("snapshot[%s] = %v, want %v", k, got[k], v)
+		}
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"# TYPE app_reads_total counter",
+		"app_reads_total 2000000",
+		"# TYPE app_peer_rows_total counter",
+		`app_peer_rows_total{peer="b"} 5`,
+	} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("exposition missing %q:\n%s", line, sb.String())
+		}
 	}
 }

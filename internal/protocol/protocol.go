@@ -26,7 +26,7 @@ const (
 	OpLoadTurtle  = "load_turtle"  // Text: a Turtle document, Graph optional
 	OpStoreArray  = "store_array"  // Array payload -> ArrayID
 	OpArrayTriple = "array_triple" // Subject, Property, Array: store + link
-	OpStats       = "stats"        // server statistics snapshot -> Stats
+	OpStats       = "stats"        // instance metrics snapshot -> Stats
 	OpExplain     = "explain"      // Text: a query; plan only, or executed plan + trace with Analyze
 )
 
@@ -108,7 +108,9 @@ type Response struct {
 	Bool    bool     `json:"bool,omitempty"`
 	Count   int      `json:"count,omitempty"`
 	ArrayID int64    `json:"array_id,omitempty"`
-	Stats   *Stats   `json:"stats,omitempty"`
+	// Stats carries the OpStats snapshot: every instance series keyed
+	// as in the /metrics exposition (see core.SSDM.MetricsSnapshot).
+	Stats map[string]float64 `json:"stats,omitempty"`
 
 	// Explain carries the rendered plan for OpExplain (static plan, or
 	// the annotated executed plan when the request set Analyze).
@@ -159,77 +161,6 @@ type TraceInfo struct {
 
 	Error string `json:"error,omitempty"`
 	Plan  string `json:"plan"`
-}
-
-// ShardInfo is the wire form of one shard's cumulative coordinator
-// counters.
-type ShardInfo struct {
-	Name   string `json:"name"`
-	Calls  int64  `json:"calls"`
-	Errors int64  `json:"errors"`
-	Rows   int64  `json:"rows"`
-}
-
-// Stats is the server statistics snapshot returned for OpStats:
-// compiled-query cache counters, chunk-cache counters and the
-// default-graph size — the numbers an operator watches to confirm hot
-// queries are being served from cache and the array chunk cache is
-// sized right.
-type Stats struct {
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	CacheEntries int    `json:"cache_entries"`
-	CacheEpoch   uint64 `json:"cache_epoch"`
-	Triples      int    `json:"triples"`
-
-	// Shared chunk-cache counters (see array.ChunkCacheStats).
-	ChunkCacheHits      int64 `json:"chunk_cache_hits"`
-	ChunkCacheMisses    int64 `json:"chunk_cache_misses"`
-	ChunkCacheCoalesced int64 `json:"chunk_cache_coalesced"`
-	ChunkCacheEvictions int64 `json:"chunk_cache_evictions"`
-	ChunkCacheEntries   int64 `json:"chunk_cache_entries"`
-	ChunkCacheBytes     int64 `json:"chunk_cache_bytes"`
-	ChunkCachePeakBytes int64 `json:"chunk_cache_peak_bytes"`
-	ChunkCacheBudget    int64 `json:"chunk_cache_budget"`
-
-	// Term-dictionary footprint across the dataset's graphs.
-	DictTerms      int    `json:"dict_terms"`
-	DictBytes      int64  `json:"dict_bytes"`
-	DictGeneration uint64 `json:"dict_generation"`
-
-	// Cumulative vectorized-execution counters.
-	VecQueries int64 `json:"vec_queries"`
-	VecBatches int64 `json:"vec_batches"`
-	VecRows    int64 `json:"vec_rows"`
-
-	// Batch-native aggregation and vectorized ORDER BY activity.
-	VecAggQueries  int64 `json:"vec_agg_queries"`
-	VecAggGroups   int64 `json:"vec_agg_groups"`
-	VecSortQueries int64 `json:"vec_sort_queries"`
-	VecTopKQueries int64 `json:"vec_topk_queries"`
-
-	// Write-ahead-log counters; all zero when the instance runs
-	// without a WAL (WALEnabled false).
-	WALEnabled        bool   `json:"wal_enabled,omitempty"`
-	WALAppends        int64  `json:"wal_appends,omitempty"`
-	WALAppendedBytes  int64  `json:"wal_appended_bytes,omitempty"`
-	WALSyncs          int64  `json:"wal_syncs,omitempty"`
-	WALCommits        int64  `json:"wal_commits,omitempty"`
-	WALGroupedCommits int64  `json:"wal_grouped_commits,omitempty"`
-	WALSegments       int    `json:"wal_segments,omitempty"`
-	WALTailLSN        uint64 `json:"wal_tail_lsn,omitempty"`
-	WALSyncedLSN      uint64 `json:"wal_synced_lsn,omitempty"`
-	WALRecoveredRecs  int64  `json:"wal_recovered_records,omitempty"`
-	WALRecoveryNS     int64  `json:"wal_recovery_ns,omitempty"`
-
-	// Shard-coordinator counters; all zero/empty on single-node
-	// instances (Shards 0).
-	Shards         int         `json:"shards,omitempty"`
-	ShardPushdown  int64       `json:"shard_pushdown_queries,omitempty"`
-	ShardGather    int64       `json:"shard_gather_queries,omitempty"`
-	ShardScatters  int64       `json:"shard_scatters,omitempty"`
-	ShardErrors    int64       `json:"shard_errors,omitempty"`
-	ShardBreakdown []ShardInfo `json:"shard_breakdown,omitempty"`
 }
 
 // EncodeTerm converts an RDF term to its wire form.

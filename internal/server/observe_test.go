@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -323,4 +324,51 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestStatsPerInstance: two servers over different instances in one
+// process each report their own instance through the stats op, whether
+// they share the process-wide default registry or not.
+func TestStatsPerInstance(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		var clients []*ssdmclient.Client
+		for i := 1; i <= 2; i++ {
+			db := core.Open()
+			srv := New(db)
+			if !shared {
+				srv.Metrics = metrics.NewRegistry()
+			}
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			cl, err := ssdmclient.Connect(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cl.Close() })
+			// Instance i holds i triples and has run its query i times.
+			for j := 1; j <= i; j++ {
+				if err := cl.LoadTurtle(fmt.Sprintf(`<http://ex/s%d> <http://ex/p> %d .`, j, j), ""); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cl.Query(observeQuery); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clients = append(clients, cl)
+		}
+		for i, cl := range clients {
+			st, err := cl.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := float64(i + 1)
+			if st["ssdm_triples"] != n || st["ssdm_query_cache_misses"] != 1 || st["ssdm_query_cache_hits"] != n-1 {
+				t.Errorf("shared=%v server %d: triples %v, cache misses %v hits %v; want %v, 1, %v",
+					shared, i+1, st["ssdm_triples"], st["ssdm_query_cache_misses"], st["ssdm_query_cache_hits"], n, n-1)
+			}
+		}
+	}
 }

@@ -52,8 +52,9 @@ type Server struct {
 	SlowQuery time.Duration
 
 	// Metrics is the registry the server instruments (request counts,
-	// latency histogram, error codes, cache and storage gauges). Nil
-	// uses metrics.Default(). Set before Listen.
+	// latency histogram, error codes) and publishes the instance's
+	// series table on (see core.SSDM.RegisterMetrics). Nil uses
+	// metrics.Default(). Set before Listen.
 	Metrics *metrics.Registry
 
 	mu       sync.Mutex // guards listener, closed and conns
@@ -278,7 +279,8 @@ type instruments struct {
 }
 
 // instrumentSet registers (or re-resolves — registration is idempotent)
-// the server's instruments and gauges on first use.
+// the server's instruments, plus the instance's series table, on first
+// use.
 func (s *Server) instrumentSet() *instruments {
 	s.instOnce.Do(func() {
 		r := s.registry()
@@ -289,125 +291,11 @@ func (s *Server) instrumentSet() *instruments {
 			rows:     r.Counter("ssdm_rows_returned_total", "Result rows returned to clients."),
 			slow:     r.Counter("ssdm_slow_queries_total", "Query-class requests at or above the slow-query threshold."),
 		}
-		s.registerGauges(r)
+		r.GaugeFunc("ssdm_connections_active", "Open client connections.",
+			func() float64 { return float64(s.activeConns.Load()) })
+		s.DB.RegisterMetrics(r)
 	})
 	return s.inst
-}
-
-// registerGauges publishes the instance's cache, dataset and storage
-// state as scrape-time gauges.
-func (s *Server) registerGauges(r *metrics.Registry) {
-	db := s.DB
-	r.GaugeFunc("ssdm_connections_active", "Open client connections.",
-		func() float64 { return float64(s.activeConns.Load()) })
-	r.GaugeFunc("ssdm_triples", "Triples in the default graph.",
-		func() float64 { return float64(db.Dataset.Default.Size()) })
-	r.GaugeFunc("ssdm_query_cache_hits", "Compiled-query cache hits since start.",
-		func() float64 { return float64(db.QueryCacheStats().Hits) })
-	r.GaugeFunc("ssdm_query_cache_misses", "Compiled-query cache misses since start.",
-		func() float64 { return float64(db.QueryCacheStats().Misses) })
-	r.GaugeFunc("ssdm_query_cache_entries", "Compiled queries resident in the cache.",
-		func() float64 { return float64(db.QueryCacheStats().Entries) })
-	r.GaugeFunc("ssdm_chunk_cache_hits", "Chunk-cache hits since start.",
-		func() float64 { return float64(db.ChunkCacheStats().Hits) })
-	r.GaugeFunc("ssdm_chunk_cache_misses", "Chunk-cache misses since start.",
-		func() float64 { return float64(db.ChunkCacheStats().Misses) })
-	r.GaugeFunc("ssdm_chunk_cache_coalesced", "Chunk fetches coalesced onto another in-flight fetch.",
-		func() float64 { return float64(db.ChunkCacheStats().Coalesced) })
-	r.GaugeFunc("ssdm_chunk_cache_evictions", "Chunk-cache evictions since start.",
-		func() float64 { return float64(db.ChunkCacheStats().Evictions) })
-	r.GaugeFunc("ssdm_chunk_cache_bytes", "Bytes resident in the chunk cache.",
-		func() float64 { return float64(db.ChunkCacheStats().Bytes) })
-	r.GaugeFunc("ssdm_chunk_cache_peak_bytes", "Chunk-cache residency high-water mark.",
-		func() float64 { return float64(db.ChunkCacheStats().PeakBytes) })
-	r.GaugeFunc("ssdm_chunk_cache_budget_bytes", "Configured chunk-cache byte budget.",
-		func() float64 { return float64(db.ChunkCacheStats().Budget) })
-	r.GaugeFunc("ssdm_dict_terms", "Terms interned in the dataset's dictionaries.",
-		func() float64 { return float64(db.DictStats().Terms) })
-	r.GaugeFunc("ssdm_dict_bytes", "Approximate bytes held by term dictionaries.",
-		func() float64 { return float64(db.DictStats().Bytes) })
-	r.GaugeFunc("ssdm_dict_generation", "Dictionary/graph mutation generation counter.",
-		func() float64 { return float64(db.DictStats().Generation) })
-	r.GaugeFunc("ssdm_vec_queries_total", "Query executions that used a vectorized plan.",
-		func() float64 { return float64(db.VecStats().Queries) })
-	r.GaugeFunc("ssdm_vec_batches_total", "Batches emitted by vectorized pipelines.",
-		func() float64 { return float64(db.VecStats().Batches) })
-	r.GaugeFunc("ssdm_vec_rows_total", "Rows emitted by vectorized pipelines.",
-		func() float64 { return float64(db.VecStats().Rows) })
-	r.GaugeFunc("ssdm_vec_agg_queries_total", "Aggregations folded batch-natively over ID columns.",
-		func() float64 { return float64(db.VecStats().AggQueries) })
-	r.GaugeFunc("ssdm_vec_agg_groups_total", "Groups produced by batch-native aggregation.",
-		func() float64 { return float64(db.VecStats().AggGroups) })
-	r.GaugeFunc("ssdm_vec_sort_queries_total", "Vectorized ORDER BY sorts over ID-resident keys.",
-		func() float64 { return float64(db.VecStats().SortQueries) })
-	r.GaugeFunc("ssdm_vec_topk_queries_total", "Vectorized sorts that used the bounded top-K heap.",
-		func() float64 { return float64(db.VecStats().TopKQueries) })
-	r.GaugeFunc("ssdm_wal_appends_total", "WAL records appended (0 when running without a WAL).",
-		func() float64 { return float64(db.WALStats().Appends) })
-	r.GaugeFunc("ssdm_wal_appended_bytes_total", "WAL frame bytes appended.",
-		func() float64 { return float64(db.WALStats().AppendedBytes) })
-	r.GaugeFunc("ssdm_wal_syncs_total", "WAL fsyncs issued.",
-		func() float64 { return float64(db.WALStats().Syncs) })
-	r.GaugeFunc("ssdm_wal_commits_total", "WAL commit acknowledgements.",
-		func() float64 { return float64(db.WALStats().Commits) })
-	r.GaugeFunc("ssdm_wal_grouped_commits_total", "WAL commits that rode another commit's fsync (group commit).",
-		func() float64 { return float64(db.WALStats().GroupedCommit) })
-	r.GaugeFunc("ssdm_wal_segments", "Live WAL segment files.",
-		func() float64 { return float64(db.WALStats().Segments) })
-	r.GaugeFunc("ssdm_wal_tail_lsn", "Next WAL append position.",
-		func() float64 { return float64(db.WALStats().TailLSN) })
-	r.GaugeFunc("ssdm_wal_synced_lsn", "Everything below this LSN is durable.",
-		func() float64 { return float64(db.WALStats().SyncedLSN) })
-	r.GaugeFunc("ssdm_wal_recovery_seconds", "Time the last startup spent in checkpoint load and log replay.",
-		func() float64 { return float64(db.WALStats().RecoveryNanos) / 1e9 })
-	r.GaugeFunc("ssdm_storage_read_calls", "Back-end chunk read calls since start (0 when resident-only).",
-		func() float64 {
-			if b, ok := db.Backend().(interface{ ReadCallCount() int64 }); ok {
-				return float64(b.ReadCallCount())
-			}
-			return 0
-		})
-	r.GaugeFunc("ssdm_storage_inflight_peak", "High-water mark of concurrent back-end reads.",
-		func() float64 {
-			if b, ok := db.Backend().(interface{ InflightPeak() int64 }); ok {
-				return float64(b.InflightPeak())
-			}
-			return 0
-		})
-	shardStat := func(f func(core.ShardStats) float64) func() float64 {
-		return func() float64 {
-			if ss, ok := db.ShardStats(); ok {
-				return f(ss)
-			}
-			return 0
-		}
-	}
-	r.GaugeFunc("ssdm_shard_topology", "Shards in the coordinator's topology (0 on single-node instances).",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.Shards) }))
-	r.GaugeFunc("ssdm_shard_pushdown_queries_total", "Queries executed per-shard with coordinator-side partial merging.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.PushdownQueries) }))
-	r.GaugeFunc("ssdm_shard_gather_queries_total", "Queries answered by gathering shard triples to the coordinator.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.GatherQueries) }))
-	r.GaugeFunc("ssdm_shard_scatters_total", "Scatter fan-outs issued by the coordinator.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.Scatters) }))
-	r.GaugeFunc("ssdm_shard_errors_total", "Per-shard request failures observed by the coordinator.",
-		shardStat(func(ss core.ShardStats) float64 { return float64(ss.Errors) }))
-	r.GaugeFunc("ssdm_shard_calls_total", "Requests the coordinator sent to shards (all shards summed).",
-		shardStat(func(ss core.ShardStats) float64 {
-			var n int64
-			for _, c := range ss.PerShard {
-				n += c.Calls
-			}
-			return float64(n)
-		}))
-	r.GaugeFunc("ssdm_shard_rows_total", "Rows and triples shards returned to the coordinator (all shards summed).",
-		shardStat(func(ss core.ShardStats) float64 {
-			var n int64
-			for _, c := range ss.PerShard {
-				n += c.Rows
-			}
-			return float64(n)
-		}))
 }
 
 // queryClass reports whether an op runs queries/updates — the requests
@@ -564,64 +452,7 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 		resp.Explain = tr.String()
 		return resp
 	case protocol.OpStats:
-		cs := s.DB.QueryCacheStats()
-		cc := s.DB.ChunkCacheStats()
-		dict := s.DB.DictStats()
-		vec := s.DB.VecStats()
-		wal := s.DB.WALStats()
-		st := &protocol.Stats{
-			CacheHits:    cs.Hits,
-			CacheMisses:  cs.Misses,
-			CacheEntries: cs.Entries,
-			CacheEpoch:   cs.Epoch,
-			Triples:      s.DB.Dataset.Default.Size(),
-
-			ChunkCacheHits:      cc.Hits,
-			ChunkCacheMisses:    cc.Misses,
-			ChunkCacheCoalesced: cc.Coalesced,
-			ChunkCacheEvictions: cc.Evictions,
-			ChunkCacheEntries:   cc.Entries,
-			ChunkCacheBytes:     cc.Bytes,
-			ChunkCachePeakBytes: cc.PeakBytes,
-			ChunkCacheBudget:    cc.Budget,
-
-			DictTerms:      dict.Terms,
-			DictBytes:      dict.Bytes,
-			DictGeneration: dict.Generation,
-
-			VecQueries:     vec.Queries,
-			VecBatches:     vec.Batches,
-			VecRows:        vec.Rows,
-			VecAggQueries:  vec.AggQueries,
-			VecAggGroups:   vec.AggGroups,
-			VecSortQueries: vec.SortQueries,
-			VecTopKQueries: vec.TopKQueries,
-
-			WALEnabled:        wal.Enabled,
-			WALAppends:        wal.Appends,
-			WALAppendedBytes:  wal.AppendedBytes,
-			WALSyncs:          wal.Syncs,
-			WALCommits:        wal.Commits,
-			WALGroupedCommits: wal.GroupedCommit,
-			WALSegments:       wal.Segments,
-			WALTailLSN:        wal.TailLSN,
-			WALSyncedLSN:      wal.SyncedLSN,
-			WALRecoveredRecs:  wal.RecoveredRecords,
-			WALRecoveryNS:     wal.RecoveryNanos,
-		}
-		if ss, ok := s.DB.ShardStats(); ok {
-			st.Shards = ss.Shards
-			st.ShardPushdown = ss.PushdownQueries
-			st.ShardGather = ss.GatherQueries
-			st.ShardScatters = ss.Scatters
-			st.ShardErrors = ss.Errors
-			for _, c := range ss.PerShard {
-				st.ShardBreakdown = append(st.ShardBreakdown, protocol.ShardInfo{
-					Name: c.Name, Calls: c.Calls, Errors: c.Errors, Rows: c.Rows,
-				})
-			}
-		}
-		return &protocol.Response{OK: true, Stats: st}
+		return &protocol.Response{OK: true, Stats: s.DB.MetricsSnapshot()}
 	default:
 		return &protocol.Response{OK: false, Error: "unknown op " + req.Op, Code: protocol.CodeError}
 	}

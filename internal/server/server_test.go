@@ -201,14 +201,14 @@ func TestStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Triples != 2 {
-		t.Fatalf("triples %d, want 2", st.Triples)
+	if st["ssdm_triples"] != 2 {
+		t.Fatalf("triples %v, want 2", st["ssdm_triples"])
 	}
-	if st.CacheMisses != 1 || st.CacheHits != 2 {
-		t.Fatalf("stats %+v, want 1 miss / 2 hits for a repeated query text", st)
+	if st["ssdm_query_cache_misses"] != 1 || st["ssdm_query_cache_hits"] != 2 {
+		t.Fatalf("stats %v, want 1 miss / 2 hits for a repeated query text", st)
 	}
-	if st.CacheEntries != 1 {
-		t.Fatalf("entries %d, want 1", st.CacheEntries)
+	if st["ssdm_query_cache_entries"] != 1 {
+		t.Fatalf("entries %v, want 1", st["ssdm_query_cache_entries"])
 	}
 }
 
@@ -242,19 +242,19 @@ SELECT (?r[10] AS ?v) WHERE { ?run ex:result ?r }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ChunkCacheMisses == 0 {
-		t.Fatalf("stats %+v: first element access should be a chunk-cache miss", st)
+	if st["ssdm_chunk_cache_misses"] == 0 {
+		t.Fatalf("stats %v: first element access should be a chunk-cache miss", st)
 	}
-	if st.ChunkCacheHits == 0 {
-		t.Fatalf("stats %+v: repeated element access should be a chunk-cache hit", st)
+	if st["ssdm_chunk_cache_hits"] == 0 {
+		t.Fatalf("stats %v: repeated element access should be a chunk-cache hit", st)
 	}
-	if st.ChunkCacheEntries == 0 || st.ChunkCacheBytes == 0 {
-		t.Fatalf("stats %+v: cached chunk not visible over the wire", st)
+	if st["ssdm_chunk_cache_entries"] == 0 || st["ssdm_chunk_cache_bytes"] == 0 {
+		t.Fatalf("stats %v: cached chunk not visible over the wire", st)
 	}
-	if st.ChunkCacheBudget == 0 {
-		t.Fatalf("stats %+v: budget should report the default", st)
+	if st["ssdm_chunk_cache_budget_bytes"] == 0 {
+		t.Fatalf("stats %v: budget should report the default", st)
 	}
-	if st.ChunkCachePeakBytes < st.ChunkCacheBytes {
-		t.Fatalf("stats %+v: peak below resident bytes", st)
+	if st["ssdm_chunk_cache_peak_bytes"] < st["ssdm_chunk_cache_bytes"] {
+		t.Fatalf("stats %v: peak below resident bytes", st)
 	}
 }

@@ -183,6 +183,39 @@ func TestStatsAndTraceCounters(t *testing.T) {
 	_ = c
 }
 
+// TestGatherUsesNodeEngine: the gather path evaluates with the node's
+// own engine configuration and counters, so vectorized work done on
+// gathered triples shows in the node's VecStats and the node's guard
+// knobs bound it.
+func TestGatherUsesNodeEngine(t *testing.T) {
+	node, _ := cluster(t, 2)
+	if _, err := node.Update(`PREFIX ex: <http://ex/> INSERT DATA {
+		ex:a ex:knows ex:b . ex:b ex:knows ex:c . ex:c ex:knows ex:d }`); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := node.ShardStats()
+	vecBefore := node.VecStats()
+	res, err := node.Query(`PREFIX ex: <http://ex/> SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("join returned %d rows, want 2", len(res.Rows))
+	}
+	if after, _ := node.ShardStats(); after.GatherQueries != before.GatherQueries+1 {
+		t.Fatalf("join did not take the gather path: %+v", after)
+	}
+	if vec := node.VecStats(); vec.Queries <= vecBefore.Queries {
+		t.Fatalf("gather-path vectorized work not counted: %+v -> %+v", vecBefore, vec)
+	}
+
+	node.Engine.MaxPathSteps = 1
+	_, err = node.Query(`PREFIX ex: <http://ex/> SELECT ?z WHERE { ex:a ex:knows+ ?z . ?z ex:knows ?w }`)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 1 steps") {
+		t.Fatalf("gather path ignored the node's MaxPathSteps: err = %v", err)
+	}
+}
+
 func TestUpdateRouting(t *testing.T) {
 	node, c := cluster(t, 4)
 	const ins = `PREFIX ex: <http://ex/> INSERT DATA { ex:u1 ex:p 1 . ex:u2 ex:p 2 . ex:u3 ex:p 3 . ex:u4 ex:p 4 . ex:u5 ex:p 5 }`

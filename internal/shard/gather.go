@@ -316,13 +316,7 @@ func (c *Coordinator) runGather(ctx context.Context, q *sparql.Query, lim engine
 	}
 	tx.Commit()
 
-	// A fresh engine over the scratch dataset, sharing the node's
-	// function registry (user-defined functions and aggregates) and
-	// execution knobs.
-	eng := engine.New(ds)
-	eng.Funcs = c.node.Engine.Funcs
-	eng.BatchSize = c.node.Engine.BatchSize
-	eng.DisableVecAgg = c.node.Engine.DisableVecAgg
-	eng.VecTopK = c.node.Engine.VecTopK
-	return eng.QueryContext(ctx, q, lim)
+	// The node's engine over the scratch dataset: same knobs, function
+	// registry (user-defined functions and aggregates) and counters.
+	return c.node.Engine.WithDataset(ds).QueryContext(ctx, q, lim)
 }

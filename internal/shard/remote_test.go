@@ -3,11 +3,14 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"scisparql/internal/core"
+	"scisparql/internal/metrics"
 	"scisparql/internal/rdf"
 	"scisparql/internal/server"
+	"scisparql/internal/ssdmclient"
 	"scisparql/internal/storage"
 )
 
@@ -122,5 +125,62 @@ func TestRemoteGroundSubjectRoutesOnce(t *testing.T) {
 	}
 	if delta != 1 {
 		t.Fatalf("ground-subject query issued %d shard calls, want exactly 1", delta)
+	}
+}
+
+// TestStatsOpPerShardBreakdown: a coordinator's per-shard calls, errors
+// and rows reach both the stats op and /metrics as shard-labelled
+// series carrying the coordinator's own counts.
+func TestStatsOpPerShardBreakdown(t *testing.T) {
+	node, c := cluster(t, 2)
+	if _, err := node.Update(corpusData); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Query(`PREFIX ex: <http://ex/> SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z }`); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(node)
+	reg := metrics.NewRegistry()
+	srv.Metrics = reg
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := ssdmclient.Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	scrape := sb.String()
+	want := c.Stats()
+	var rows int64
+	for _, ps := range want.PerShard {
+		rows += ps.Rows
+		for series, v := range map[string]int64{
+			"ssdm_shard_peer_calls_total":  ps.Calls,
+			"ssdm_shard_peer_errors_total": ps.Errors,
+			"ssdm_shard_peer_rows_total":   ps.Rows,
+		} {
+			key := fmt.Sprintf("%s{shard=%q}", series, ps.Name)
+			if st[key] != float64(v) {
+				t.Errorf("stats %s = %v, want %d", key, st[key], v)
+			}
+			if line := fmt.Sprintf("%s %d\n", key, v); !strings.Contains(scrape, line) {
+				t.Errorf("/metrics missing %q", line)
+			}
+		}
+	}
+	if rows == 0 || st["ssdm_shard_rows_total"] != float64(rows) || st["ssdm_shard_topology"] != 2 {
+		t.Errorf("stats rows_total %v topology %v, want %d and 2", st["ssdm_shard_rows_total"], st["ssdm_shard_topology"], rows)
 	}
 }

@@ -312,12 +312,13 @@ func (c *Client) PingContext(ctx context.Context) error {
 	return err
 }
 
-// Stats fetches the server statistics snapshot: compiled-query cache
-// counters and the default-graph size.
-func (c *Client) Stats() (*protocol.Stats, error) { return c.StatsContext(context.Background()) }
+// Stats fetches the server's instance metrics: every series of the
+// instance's /metrics table, keyed as in the exposition (a labelled
+// series by its name plus label set, `name{shard="host:7601"}`).
+func (c *Client) Stats() (map[string]float64, error) { return c.StatsContext(context.Background()) }
 
 // StatsContext is Stats under a context. Idempotent.
-func (c *Client) StatsContext(ctx context.Context) (*protocol.Stats, error) {
+func (c *Client) StatsContext(ctx context.Context) (map[string]float64, error) {
 	resp, err := c.roundTrip(ctx, &protocol.Request{Op: protocol.OpStats}, true)
 	if err != nil {
 		return nil, err
