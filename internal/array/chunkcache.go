@@ -51,22 +51,20 @@ type ChunkCacheStats struct {
 // ChunkCache is a memory-budgeted LRU cache of chunk payloads shared
 // by every array proxy in the process, keyed by (back-end, arrayID,
 // chunkNo). Hits refresh recency; inserts evict from the cold end
-// until the byte budget (or legacy chunk-count cap) is honored again,
-// so the cached bytes never exceed the budget. It also carries the
-// singleflight registry that deduplicates concurrent fetches of the
-// same chunk.
+// until the byte budget is honored again, so the cached bytes never
+// exceed the budget. It also carries the singleflight registry that
+// deduplicates concurrent fetches of the same chunk.
 //
 // All payloads are immutable once cached; callers must treat returned
 // slices as read-only.
 type ChunkCache struct {
-	mu        sync.Mutex
-	maxBytes  int64 // 0 = unlimited
-	maxChunks int   // 0 = unlimited; legacy per-proxy CacheCap semantics
-	used      int64
-	peak      int64
-	ll        *list.List // front = most recently used
-	entries   map[cacheKey]*list.Element
-	inflight  map[cacheKey]*flight
+	mu       sync.Mutex
+	maxBytes int64 // 0 = unlimited
+	used     int64
+	peak     int64
+	ll       *list.List // front = most recently used
+	entries  map[cacheKey]*list.Element
+	inflight map[cacheKey]*flight
 
 	hits, misses, coalesced, evictions int64
 }
@@ -85,16 +83,8 @@ func NewChunkCache(budgetBytes int64) *ChunkCache {
 	}
 }
 
-// newChunkCacheChunks creates a cache bounded by entry count — the
-// legacy per-proxy CacheCap semantics.
-func newChunkCacheChunks(maxChunks int) *ChunkCache {
-	c := NewChunkCache(0)
-	c.maxChunks = maxChunks
-	return c
-}
-
-// sharedChunkCache is the process-wide default every proxy without a
-// private cache uses.
+// sharedChunkCache is the process-wide default every proxy with a nil
+// Cache uses.
 var sharedChunkCache = NewChunkCache(DefaultChunkCacheBytes)
 
 // SharedChunkCache returns the process-wide chunk cache.
@@ -148,16 +138,7 @@ func (c *ChunkCache) Reset() {
 
 // evictLocked drops cold entries until the budget is honored.
 func (c *ChunkCache) evictLocked() {
-	over := func() bool {
-		if c.maxBytes > 0 && c.used > c.maxBytes {
-			return true
-		}
-		if c.maxChunks > 0 && len(c.entries) > c.maxChunks {
-			return true
-		}
-		return false
-	}
-	for over() {
+	for c.maxBytes > 0 && c.used > c.maxBytes {
 		el := c.ll.Back()
 		if el == nil {
 			return

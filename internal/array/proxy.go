@@ -47,26 +47,16 @@ type ChunkSourceCtx interface {
 // lock briefly, and concurrent misses on the same chunk coalesce into
 // a single back-end fetch (singleflight). Chunk payloads are immutable
 // once cached — callers must treat the returned bytes as read-only.
-// Source, ArrayID, ChunkElems, CacheCap and Cache must be set before
-// the proxy is shared.
+// Source, ArrayID, ChunkElems and Cache must be set before the proxy
+// is shared.
 type Proxy struct {
 	Source     ChunkSource
 	ArrayID    int64
 	ChunkElems int
 
-	// CacheCap, when positive, gives this proxy a private cache bounded
-	// to that many chunks instead of the shared byte-budgeted cache —
-	// the legacy per-proxy bound, kept for callers that need strict
-	// per-array chunk counts.
-	CacheCap int
-
 	// Cache overrides the chunk cache used by this proxy. nil selects
-	// the process-wide shared cache (or a private cache when CacheCap
-	// is set).
+	// the process-wide shared cache.
 	Cache *ChunkCache
-
-	mu      sync.Mutex
-	private *ChunkCache
 }
 
 // NewProxy creates a proxy for array arrayID on the given source with
@@ -82,14 +72,6 @@ func NewProxy(src ChunkSource, arrayID int64, chunkElems int) *Proxy {
 func (p *Proxy) cacheRef() *ChunkCache {
 	if p.Cache != nil {
 		return p.Cache
-	}
-	if p.CacheCap > 0 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.private == nil {
-			p.private = newChunkCacheChunks(p.CacheCap)
-		}
-		return p.private
 	}
 	return sharedChunkCache
 }
@@ -277,11 +259,6 @@ func (p *Proxy) fetchMissingCtx(ctx context.Context, chunkNos []int) error {
 		}
 	}
 	return nil
-}
-
-// fetchMissing is fetchMissingCtx without cancellation (legacy entry).
-func (p *Proxy) fetchMissing(chunkNos []int) error {
-	return p.fetchMissingCtx(context.Background(), chunkNos)
 }
 
 func (p *Proxy) aggregateWhole() (*AggState, bool, error) {

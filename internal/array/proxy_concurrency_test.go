@@ -56,7 +56,7 @@ func TestProxyConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Base.Proxy.CacheCap = 8
+	a.Base.Proxy.Cache = NewChunkCache(8 * chunkElems * ElemSize) // eight chunks' bytes
 
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
@@ -85,6 +85,9 @@ func TestProxyConcurrentReaders(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	if got := a.Base.Proxy.CachedChunks(); got > 8 {
+		t.Fatalf("cache holds %d chunks, cap is 8", got)
+	}
 }
 
 // TestProxyPrefetchDoesNotMutateInput guards the fetchMissing fix: the

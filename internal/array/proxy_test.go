@@ -180,7 +180,7 @@ func TestProxyViewAggregateNotDelegated(t *testing.T) {
 func TestProxyCacheEviction(t *testing.T) {
 	src := &fakeSource{nelems: 100, chunkElems: 10}
 	p := NewProxy(src, 1, 10)
-	p.CacheCap = 2
+	p.Cache = NewChunkCache(2 * 10 * ElemSize) // two chunks' bytes
 	a, err := NewProxied(p, Float, 100)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"scisparql/internal/array"
 	"scisparql/internal/engine"
 	"scisparql/internal/loader"
+	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
 	"scisparql/internal/sparql"
 	"scisparql/internal/storage"
@@ -90,6 +92,45 @@ var (
 	ErrResourceLimit  = engine.ErrResourceLimit
 	ErrInternal       = engine.ErrInternal
 )
+
+// errorClasses is the one table of typed failure classes: the sentinel
+// errors.Is matches (or the context error of the same class) and the
+// wire code that carries the class to remote callers. The first
+// matching row wins; an error matching none is protocol.CodeError.
+var errorClasses = []struct {
+	code          string
+	sentinel, ctx error
+}{
+	{protocol.CodeTimeout, ErrQueryTimeout, context.DeadlineExceeded},
+	{protocol.CodeResourceLimit, ErrResourceLimit, nil},
+	{protocol.CodeCancelled, ErrQueryCancelled, context.Canceled},
+	{protocol.CodeInternal, ErrInternal, nil},
+	{protocol.CodeDurability, ErrDurability, nil},
+	{protocol.CodeShardUnavailable, ErrShardUnavailable, nil},
+}
+
+// ErrorCode classifies err for the wire: the code of its typed class,
+// or protocol.CodeError for any other failure (parse errors, bad
+// payloads, evaluation errors).
+func ErrorCode(err error) string {
+	for _, c := range errorClasses {
+		if errors.Is(err, c.sentinel) || (c.ctx != nil && errors.Is(err, c.ctx)) {
+			return c.code
+		}
+	}
+	return protocol.CodeError
+}
+
+// CodeSentinel is ErrorCode's inverse: the sentinel of the class a wire
+// code names, nil for protocol.CodeError and codes of no typed class.
+func CodeSentinel(code string) error {
+	for _, c := range errorClasses {
+		if c.code == code {
+			return c.sentinel
+		}
+	}
+	return nil
+}
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
@@ -318,28 +359,15 @@ func (s *SSDM) QueryLimits(ctx context.Context, src string, lim engine.Limits) (
 	return s.Engine.QueryContext(ctx, q, s.fillLimits(lim))
 }
 
-// fillLimits resolves per-call limits against the instance defaults.
-// A zero field takes the default; when both the call and the default
-// set a bound, the stricter one wins — per-call limits can tighten the
+// fillLimits resolves per-call limits against the instance defaults
+// (engine.Limits.Tighten): per-call limits can tighten the
 // operator-configured guards, never loosen them.
 func (s *SSDM) fillLimits(lim engine.Limits) engine.Limits {
-	lim.Timeout = tighter(lim.Timeout, s.Opts.QueryTimeout)
-	lim.MaxResultRows = tighter(lim.MaxResultRows, s.Opts.MaxResultRows)
-	lim.MaxBindings = tighter(lim.MaxBindings, s.Opts.MaxBindings)
-	return lim
-}
-
-// tighter combines a per-call bound with an instance default: zero (or
-// negative, which the wire could carry) defers to the default, and two
-// set bounds resolve to the smaller.
-func tighter[T int | int64 | time.Duration](call, def T) T {
-	if call <= 0 {
-		return def
-	}
-	if def > 0 && def < call {
-		return def
-	}
-	return call
+	return lim.Tighten(engine.Limits{
+		Timeout:       s.Opts.QueryTimeout,
+		MaxResultRows: s.Opts.MaxResultRows,
+		MaxBindings:   s.Opts.MaxBindings,
+	})
 }
 
 // Explain renders the execution strategy for a query (join order with

@@ -48,6 +48,29 @@ type Limits struct {
 	MaxBindings int64
 }
 
+// Tighten composes l with the outer bounds it runs under (a tenant
+// profile, the instance defaults): a zero field of l — or a negative
+// one, which the wire could carry — takes outer's, and when both set a
+// bound the stricter wins. A caller can tighten the outer bounds,
+// never loosen them.
+func (l Limits) Tighten(outer Limits) Limits {
+	return Limits{
+		Timeout:       tighter(l.Timeout, outer.Timeout),
+		MaxResultRows: tighter(l.MaxResultRows, outer.MaxResultRows),
+		MaxBindings:   tighter(l.MaxBindings, outer.MaxBindings),
+	}
+}
+
+func tighter[T int | int64 | time.Duration](inner, outer T) T {
+	if inner <= 0 {
+		return outer
+	}
+	if outer > 0 && outer < inner {
+		return outer
+	}
+	return inner
+}
+
 // ContextErr maps a context's error state to the typed query errors
 // (nil when the context is still live).
 func ContextErr(ctx context.Context) error {

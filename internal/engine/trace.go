@@ -11,7 +11,9 @@ import (
 
 // Trace is the execution profile of one traced query — the payload of
 // EXPLAIN ANALYZE. All durations are nanoseconds so the struct crosses
-// the wire without unit ambiguity.
+// the wire without unit ambiguity. Its JSON form is the one trace
+// encoding: the wire protocol's Response.Trace and, with an added
+// "text" member, the HTTP front door's "analyze" member.
 //
 // Phase timings are cumulative: a subquery executed while enumerating
 // the outer WHERE contributes to both the outer enumeration and its own
@@ -20,59 +22,59 @@ type Trace struct {
 	// ParseNanos is the time spent lexing/parsing the query text; zero
 	// when the text was served from the compiled-query cache. Set by the
 	// manager (core), not the engine.
-	ParseNanos int64
+	ParseNanos int64 `json:"parse_ns"`
 	// PlanCached reports whether the parsed query came from the
 	// compiled-query cache. Set by the manager.
-	PlanCached bool
+	PlanCached bool `json:"plan_cached"`
 
 	// TotalNanos is the wall-clock time of the whole execution.
-	TotalNanos int64
+	TotalNanos int64 `json:"total_ns"`
 	// WhereNanos is the time enumerating WHERE solutions (ungrouped
 	// SELECT pipeline; includes chunk waits incurred while matching).
-	WhereNanos int64
+	WhereNanos int64 `json:"where_ns"`
 	// AggNanos is the time in grouping/aggregation (which consumes the
 	// WHERE stream itself, so grouped queries report AggNanos in place
 	// of WhereNanos).
-	AggNanos int64
+	AggNanos int64 `json:"agg_ns"`
 	// ProjNanos is the time evaluating projection expressions, including
 	// batched array-proxy prefetches (APR).
-	ProjNanos int64
+	ProjNanos int64 `json:"proj_ns"`
 	// SortNanos is the time in ORDER BY.
-	SortNanos int64
+	SortNanos int64 `json:"sort_ns"`
 
 	// Rows is the number of result rows produced.
-	Rows int
+	Rows int `json:"rows"`
 	// Bindings is the number of intermediate bindings produced while
 	// enumerating solutions (the quantity MaxBindings budgets).
-	Bindings int64
+	Bindings int64 `json:"bindings"`
 	// MatchCalls is the number of triple-pattern matcher invocations.
-	MatchCalls int64
+	MatchCalls int64 `json:"match_calls"`
 	// Matched is the number of candidate bindings emitted by pattern
 	// matching before downstream filtering.
-	Matched int64
+	Matched int64 `json:"matched"`
 
 	// Vectorized reports whether any part of the execution ran on the
 	// batch-at-a-time path; VecBatches/VecRows count the batches and
 	// rows its pipelines emitted.
-	Vectorized bool
-	VecBatches int64
-	VecRows    int64
+	Vectorized bool  `json:"vectorized,omitempty"`
+	VecBatches int64 `json:"vec_batches,omitempty"`
+	VecRows    int64 `json:"vec_rows,omitempty"`
 
 	// VecAggGroups is the number of groups the batch-native aggregation
 	// path produced (zero when aggregation ran tuple-at-a-time or not at
 	// all). VecSortRows is the number of ID rows the vectorized ORDER BY
 	// sorted; VecSortTopK is the bounded top-K heap size when the ORDER
 	// BY + LIMIT pushdown engaged (zero otherwise).
-	VecAggGroups int64
-	VecSortRows  int64
-	VecSortTopK  int64
+	VecAggGroups int64 `json:"vec_agg_groups,omitempty"`
+	VecSortRows  int64 `json:"vec_sort_rows,omitempty"`
+	VecSortTopK  int64 `json:"vec_sort_topk,omitempty"`
 
 	// ChunkFetches is the number of array chunks fetched from a storage
 	// back-end on this query's behalf (cache hits are not fetches).
-	ChunkFetches int64
+	ChunkFetches int64 `json:"chunk_fetch"`
 	// ChunkWaitNanos is the time the query was blocked waiting on chunk
 	// retrieval.
-	ChunkWaitNanos int64
+	ChunkWaitNanos int64 `json:"chunk_waitns"`
 
 	// Distributed execution (filled by the shard coordinator when the
 	// instance runs a sharded topology; zero otherwise). ShardMode is
@@ -81,18 +83,18 @@ type Trace struct {
 	// evaluated over the merged scratch graph). Shards is the topology
 	// size, ShardCalls the shard requests this query issued, and
 	// ShardRows the result rows / scan triples streamed back.
-	ShardMode  string
-	Shards     int
-	ShardCalls int64
-	ShardRows  int64
+	ShardMode  string `json:"shard_mode,omitempty"`
+	Shards     int    `json:"shards,omitempty"`
+	ShardCalls int64  `json:"shard_calls,omitempty"`
+	ShardRows  int64  `json:"shard_rows,omitempty"`
 
 	// Error carries the failure that ended the execution, empty on
 	// success — so a traced timeout still reports where the time went.
-	Error string
+	Error string `json:"error,omitempty"`
 
 	// Plan is the executed plan annotated with per-step call/emit
 	// counters and per-pattern match counts.
-	Plan string
+	Plan string `json:"plan"`
 }
 
 // String renders the full EXPLAIN ANALYZE report: headline counters,

@@ -48,6 +48,7 @@ import (
 	"scisparql/internal/core"
 	"scisparql/internal/engine"
 	"scisparql/internal/metrics"
+	"scisparql/internal/protocol"
 	"scisparql/internal/turtle"
 )
 
@@ -246,7 +247,7 @@ func (f *Front) route(w http.ResponseWriter, r *http.Request) (tenantName, text 
 				"path", r.URL.Path,
 				"panic", fmt.Sprint(rec),
 				"stack", string(debug.Stack()))
-			writeError(w, http.StatusInternalServerError, "internal", "internal error")
+			writeError(w, http.StatusInternalServerError, protocol.CodeInternal, "internal error")
 		}
 	}()
 
@@ -280,7 +281,7 @@ func (f *Front) route(w http.ResponseWriter, r *http.Request) (tenantName, text 
 
 	if f.draining.Load() {
 		w.Header().Set("Retry-After", f.retryAfterSeconds())
-		writeError(w, http.StatusServiceUnavailable, "shutdown", "server is draining")
+		writeError(w, http.StatusServiceUnavailable, protocol.CodeShutdown, "server is draining")
 		return name, ""
 	}
 
@@ -407,7 +408,7 @@ func (f *Front) execute(w http.ResponseWriter, r *http.Request, req *request) {
 
 	// Per-request parameters tighten the tenant profile; the tenant
 	// profile tightens the server-wide guards inside QueryLimits.
-	lim := tightenLimits(req.limits, req.tenant.Limits)
+	lim := req.limits.Tighten(req.tenant.Limits)
 
 	if req.isUpdate {
 		n, err := req.tenant.DB.UpdateLimits(ctx, req.text, lim)
@@ -454,35 +455,34 @@ func (f *Front) writeExecError(w http.ResponseWriter, err error) {
 	writeError(w, status, code, msg)
 }
 
+// httpStatus is the HTTP status of each wire error class
+// (core.ErrorCode). Query faults — timeouts, guard-limit overruns,
+// cancellation, parse and evaluation errors — are 4xx: the server is
+// healthy and the request (or its budget) is the problem. Trapped
+// panics are 500. A durability failure (the write-ahead log cannot
+// accept or sync the update; it was NOT applied) and an unreachable
+// shard (partial results suppressed) are 503 with Retry-After: retry
+// verbatim once the server is healthy again.
+var httpStatus = map[string]int{
+	protocol.CodeError:            http.StatusBadRequest,
+	protocol.CodeTimeout:          http.StatusRequestTimeout,
+	protocol.CodeCancelled:        http.StatusRequestTimeout,
+	protocol.CodeResourceLimit:    http.StatusUnprocessableEntity,
+	protocol.CodeInternal:         http.StatusInternalServerError,
+	protocol.CodeDurability:       http.StatusServiceUnavailable,
+	protocol.CodeShardUnavailable: http.StatusServiceUnavailable,
+}
+
 // StatusForError maps SSDM's typed errors onto HTTP status codes and
-// short machine-readable codes. Query-fault failures — timeouts,
-// guard-limit overruns, cancellation, parse and evaluation errors —
-// are 4xx: the server is healthy and the request (or its budget) is
-// the problem. Trapped panics (engine.ErrInternal) are 500, and a
-// durability failure (the write-ahead log cannot accept or sync the
-// update) is 503 with Retry-After: the update was NOT applied and may
-// be retried verbatim once the log is healthy again.
+// short machine-readable codes: the wire code of the error's class,
+// except that the generic class is documented over HTTP as bad_query.
 func StatusForError(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, engine.ErrQueryTimeout) || errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout, "timeout"
-	case errors.Is(err, engine.ErrResourceLimit):
-		return http.StatusUnprocessableEntity, "resource_limit"
-	case errors.Is(err, engine.ErrQueryCancelled) || errors.Is(err, context.Canceled):
-		return http.StatusRequestTimeout, "cancelled"
-	case errors.Is(err, engine.ErrInternal):
-		return http.StatusInternalServerError, "internal"
-	case errors.Is(err, core.ErrDurability):
-		return http.StatusServiceUnavailable, "durability"
-	case errors.Is(err, core.ErrShardUnavailable):
-		// Partial results are suppressed, not served: retry once the
-		// shard is reachable again.
-		return http.StatusServiceUnavailable, "shard_unavailable"
-	default:
-		// Parse errors (with the parser's line/column message) and
-		// evaluation errors.
-		return http.StatusBadRequest, "bad_query"
+	code = core.ErrorCode(err)
+	status = httpStatus[code]
+	if code == protocol.CodeError {
+		code = "bad_query"
 	}
+	return status, code
 }
 
 // writeResults serializes a successful query result in the negotiated
@@ -504,32 +504,21 @@ func writeResults(w http.ResponseWriter, req *request, res *engine.Results, tr *
 		w.Header().Set("Content-Type", ctSPARQLJSON)
 		doc, err := engine.JSONObject(res)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal", "serializing result: "+err.Error())
+			writeError(w, http.StatusInternalServerError, protocol.CodeInternal, "serializing result: "+err.Error())
 			return
 		}
 		if tr != nil {
-			doc["analyze"] = analyzeJSON(tr)
+			doc["analyze"] = analyzeMember{tr, tr.String()}
 		}
 		writeJSONDoc(w, doc)
 	}
 }
 
-// analyzeJSON renders an execution trace as the "analyze" member of a
-// JSON results document.
-func analyzeJSON(tr *engine.Trace) map[string]any {
-	return map[string]any{
-		"plan":         tr.Plan,
-		"plan_cached":  tr.PlanCached,
-		"parse_ns":     tr.ParseNanos,
-		"total_ns":     tr.TotalNanos,
-		"where_ns":     tr.WhereNanos,
-		"rows":         tr.Rows,
-		"bindings":     tr.Bindings,
-		"match_calls":  tr.MatchCalls,
-		"chunk_fetch":  tr.ChunkFetches,
-		"chunk_waitns": tr.ChunkWaitNanos,
-		"text":         tr.String(),
-	}
+// analyzeMember is the "analyze" member of a JSON results document:
+// the trace's one JSON encoding plus its rendered report.
+type analyzeMember struct {
+	*engine.Trace
+	Text string `json:"text"`
 }
 
 // retryAfterSeconds renders the configured Retry-After delay in whole
@@ -543,47 +532,6 @@ func (f *Front) retryAfterSeconds() string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// tightenLimits composes per-request limits with the tenant profile:
-// zero fields defer, two set bounds resolve to the stricter — a
-// request can tighten its tenant's quotas, never loosen them.
-func tightenLimits(call, profile engine.Limits) engine.Limits {
-	return engine.Limits{
-		Timeout:       tighterDur(call.Timeout, profile.Timeout),
-		MaxResultRows: tighterInt(call.MaxResultRows, profile.MaxResultRows),
-		MaxBindings:   tighterInt64(call.MaxBindings, profile.MaxBindings),
-	}
-}
-
-func tighterDur(a, b time.Duration) time.Duration {
-	if a <= 0 {
-		return b
-	}
-	if b > 0 && b < a {
-		return b
-	}
-	return a
-}
-
-func tighterInt(a, b int) int {
-	if a <= 0 {
-		return b
-	}
-	if b > 0 && b < a {
-		return b
-	}
-	return a
-}
-
-func tighterInt64(a, b int64) int64 {
-	if a <= 0 {
-		return b
-	}
-	if b > 0 && b < a {
-		return b
-	}
-	return a
 }
 
 // truncateQuery bounds the query text carried in a slow-query record.

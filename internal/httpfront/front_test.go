@@ -1,16 +1,16 @@
 package httpfront
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -230,8 +230,64 @@ func TestAnalyzeMember(t *testing.T) {
 	if an["plan"] == "" || an["rows"] != float64(1) {
 		t.Fatalf("analyze member incomplete: %v", an)
 	}
+	for _, k := range []string{"plan", "plan_cached", "parse_ns", "total_ns", "where_ns", "rows",
+		"bindings", "match_calls", "chunk_fetch", "chunk_waitns", "text"} {
+		if _, ok := an[k]; !ok {
+			t.Errorf("analyze member lacks %q: %v", k, an)
+		}
+	}
 	if _, ok := doc["results"]; !ok {
 		t.Fatal("analyze must not displace the results member")
+	}
+}
+
+// TestTraceReferenceDrift: the trace table in docs/OPERATIONS.md lists
+// exactly the JSON keys of the analyze member, which are engine.Trace's
+// (the wire's trace keys) plus the HTTP-only text.
+func TestTraceReferenceDrift(t *testing.T) {
+	encoded := map[string]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			switch {
+			case f.Anonymous && name == "":
+				walk(f.Type.Elem())
+			case f.IsExported() && name != "-":
+				encoded[name] = true
+			}
+		}
+	}
+	walk(reflect.TypeOf(analyzeMember{}))
+
+	b, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "### EXPLAIN ANALYZE trace fields\n")
+	if !ok {
+		t.Fatal("OPERATIONS.md: no trace fields section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	documented := map[string]bool{}
+	key := regexp.MustCompile("`([a-z_]+)`")
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) >= 4 {
+			for _, m := range key.FindAllStringSubmatch(cells[1], -1) {
+				documented[m[1]] = true
+			}
+		}
+	}
+	for k := range encoded {
+		if !documented[k] {
+			t.Errorf("trace key %q is encoded but missing from the OPERATIONS.md trace table", k)
+		}
+	}
+	for k := range documented {
+		if !encoded[k] {
+			t.Errorf("trace key %q is documented but not encoded", k)
+		}
 	}
 }
 
@@ -272,34 +328,6 @@ func TestUpdateMethodAndTypeGuards(t *testing.T) {
 	r = httptest.NewRequest(http.MethodDelete, "/sparql", nil)
 	if w := do(f, r); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE /sparql: status %d, want 405", w.Code)
-	}
-}
-
-// TestStatusForError is the table over every typed error the engine
-// can surface, pinning the boundary mapping: query faults are 4xx, only
-// trapped panics are 500.
-func TestStatusForError(t *testing.T) {
-	cases := []struct {
-		err    error
-		status int
-		code   string
-	}{
-		{engine.ErrQueryTimeout, http.StatusRequestTimeout, "timeout"},
-		{fmt.Errorf("query: %w", engine.ErrQueryTimeout), http.StatusRequestTimeout, "timeout"},
-		{context.DeadlineExceeded, http.StatusRequestTimeout, "timeout"},
-		{engine.ErrResourceLimit, http.StatusUnprocessableEntity, "resource_limit"},
-		{fmt.Errorf("bindings budget: %w", engine.ErrResourceLimit), http.StatusUnprocessableEntity, "resource_limit"},
-		{engine.ErrQueryCancelled, http.StatusRequestTimeout, "cancelled"},
-		{context.Canceled, http.StatusRequestTimeout, "cancelled"},
-		{engine.ErrInternal, http.StatusInternalServerError, "internal"},
-		{fmt.Errorf("trapped: %w", engine.ErrInternal), http.StatusInternalServerError, "internal"},
-		{errors.New("parse error: line 1 col 8: unexpected token"), http.StatusBadRequest, "bad_query"},
-	}
-	for _, tc := range cases {
-		status, code := StatusForError(tc.err)
-		if status != tc.status || code != tc.code {
-			t.Errorf("StatusForError(%v) = %d %q, want %d %q", tc.err, status, code, tc.status, tc.code)
-		}
 	}
 }
 
@@ -472,8 +500,8 @@ func TestTightenLimits(t *testing.T) {
 		{lim("3s", 10, 300), lim("2s", 20, 200), lim("2s", 10, 200)},
 	}
 	for i, tc := range cases {
-		if got := tightenLimits(tc.call, tc.profile); got != tc.want {
-			t.Errorf("case %d: tightenLimits = %+v, want %+v", i, got, tc.want)
+		if got := tc.call.Tighten(tc.profile); got != tc.want {
+			t.Errorf("case %d: Tighten = %+v, want %+v", i, got, tc.want)
 		}
 	}
 }

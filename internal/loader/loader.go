@@ -253,7 +253,10 @@ func LinkArray(g *rdf.Graph, s rdf.Term, p rdf.IRI, backend storage.Backend, id 
 
 // ExternalizeArrays moves every resident array value in the graph to
 // the given storage back-end, replacing the terms with proxied views.
-// It returns the number of arrays moved.
+// It returns the number of arrays moved. Every array is stored before
+// the graph changes, and the terms are then swapped in one transaction:
+// readers see either all arrays resident or all proxied, and a failing
+// back-end leaves the graph as it was.
 func ExternalizeArrays(g *rdf.Graph, backend storage.Backend, chunkElems int) (int, error) {
 	var victims []triple
 	g.Triples(func(s, p, o rdf.Term) bool {
@@ -262,23 +265,25 @@ func ExternalizeArrays(g *rdf.Graph, backend storage.Backend, chunkElems int) (i
 		}
 		return true
 	})
-	moved := 0
-	for _, v := range victims {
-		at := v.o.(rdf.Array)
-		id, err := backend.Store(at.A, chunkElems)
+	proxied := make([]rdf.Term, len(victims))
+	for i, v := range victims {
+		id, err := backend.Store(v.o.(rdf.Array).A, chunkElems)
 		if err != nil {
-			return moved, err
+			return 0, err
 		}
-		proxied, err := backend.Open(id)
+		a, err := backend.Open(id)
 		if err != nil {
-			return moved, err
+			return 0, err
 		}
-		pi := v.p.(rdf.IRI)
-		g.Delete(v.s, pi, v.o)
-		g.Add(v.s, pi, rdf.NewArray(proxied))
-		moved++
+		proxied[i] = rdf.NewArray(a)
 	}
-	return moved, nil
+	tx := g.Begin()
+	for i, v := range victims {
+		tx.Delete(v.s, v.p, v.o)
+		tx.Add(v.s, v.p, proxied[i])
+	}
+	tx.Commit()
+	return len(victims), nil
 }
 
 // DropProxyCaches discards the chunk caches of every proxied array in

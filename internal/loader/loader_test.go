@@ -1,6 +1,9 @@
 package loader
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"scisparql/internal/array"
@@ -199,6 +202,89 @@ func TestExternalizeArrays(t *testing.T) {
 	}
 	if v.Float() != 4 {
 		t.Fatalf("got %v", v)
+	}
+}
+
+// storeHook wraps a back-end: before each Store it runs check, and its
+// failOn-th Store (counting from 1; 0 = never) fails.
+type storeHook struct {
+	storage.Backend
+	check  func()
+	failOn int
+	stores int
+}
+
+func (b *storeHook) Store(a *array.Array, chunkElems int) (int64, error) {
+	b.stores++
+	b.check()
+	if b.stores == b.failOn {
+		return 0, errors.New("store failed")
+	}
+	return b.Backend.Store(a, chunkElems)
+}
+
+// graphKeys lists a graph's triples by term key (an array term's key is
+// its identity, so a swapped array shows as a different key).
+func graphKeys(g *rdf.Graph) map[string]bool {
+	out := map[string]bool{}
+	g.Triples(func(s, p, o rdf.Term) bool {
+		out[s.Key()+" "+p.Key()+" "+o.Key()] = true
+		return true
+	})
+	return out
+}
+
+// TestExternalizePublishesOnce pins ExternalizeArrays' publishing
+// contract: no reader can see a graph with some arrays swapped (the
+// graph is untouched while arrays are stored), the swap is one publish,
+// and a back-end failing partway leaves size, contents and generation
+// as they were.
+func TestExternalizePublishesOnce(t *testing.T) {
+	build := func() *rdf.Graph {
+		g := rdf.NewGraph()
+		for i := 0; i < 3; i++ {
+			a := array.NewFloat(4)
+			g.Add(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), rdf.IRI("http://ex/p"), rdf.NewArray(a))
+		}
+		g.Add(rdf.IRI("http://ex/s0"), rdf.IRI("http://ex/q"), rdf.Integer(1))
+		return g
+	}
+
+	g := build()
+	before, gen, terms := graphKeys(g), g.Generation(), g.DictStats().Terms
+	b := &storeHook{Backend: storage.NewMemory()}
+	b.check = func() {
+		if g.Generation() != gen || !reflect.DeepEqual(graphKeys(g), before) {
+			t.Errorf("graph changed before store %d", b.stores)
+		}
+	}
+	n, err := ExternalizeArrays(g, b, 2)
+	if err != nil || n != 3 {
+		t.Fatalf("moved %d, err %v", n, err)
+	}
+	// The generation counts publishes plus dictionary growth (one step
+	// per write that interned new terms; each swap interns one).
+	if pubs := int(g.Generation()-gen) - (g.DictStats().Terms - terms); pubs != 1 {
+		t.Errorf("externalize published %d states, want 1", pubs)
+	}
+	if g.Size() != 4 {
+		t.Errorf("size %d after externalize, want 4", g.Size())
+	}
+	g.Triples(func(_, _, o rdf.Term) bool {
+		if at, ok := o.(rdf.Array); ok && at.A.Base.Resident() {
+			t.Errorf("array %v still resident", o)
+		}
+		return true
+	})
+
+	g = build()
+	before, gen = graphKeys(g), g.Generation()
+	b = &storeHook{Backend: storage.NewMemory(), check: func() {}, failOn: 2}
+	if _, err := ExternalizeArrays(g, b, 2); err == nil {
+		t.Fatal("a failing Store was not reported")
+	}
+	if g.Size() != 4 || g.Generation() != gen || !reflect.DeepEqual(graphKeys(g), before) {
+		t.Errorf("failed externalize changed the graph: size %d, generation %d -> %d", g.Size(), gen, g.Generation())
 	}
 }
 

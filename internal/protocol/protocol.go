@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"scisparql/internal/array"
+	"scisparql/internal/engine"
 	"scisparql/internal/rdf"
 )
 
@@ -55,6 +56,23 @@ type Request struct {
 	// executed plan annotated with timings and counters (Trace) along
 	// with the result rows.
 	Analyze bool `json:"analyze,omitempty"`
+}
+
+// Limits returns the request's guard fields as engine limits.
+func (r *Request) Limits() engine.Limits {
+	return engine.Limits{
+		Timeout:       time.Duration(r.TimeoutMS) * time.Millisecond,
+		MaxResultRows: r.MaxRows,
+		MaxBindings:   r.MaxBindings,
+	}
+}
+
+// SetLimits sets the request's guard fields from lim; a timeout below
+// one millisecond is sent as none.
+func (r *Request) SetLimits(lim engine.Limits) {
+	r.TimeoutMS = lim.Timeout.Milliseconds()
+	r.MaxRows = lim.MaxResultRows
+	r.MaxBindings = lim.MaxBindings
 }
 
 // Error codes carried in Response.Code so clients can classify
@@ -116,51 +134,7 @@ type Response struct {
 	// the annotated executed plan when the request set Analyze).
 	Explain string `json:"explain,omitempty"`
 	// Trace carries the execution profile for OpExplain+Analyze.
-	Trace *TraceInfo `json:"trace,omitempty"`
-}
-
-// TraceInfo is the wire form of an engine execution trace (EXPLAIN
-// ANALYZE). Durations are nanoseconds. See engine.Trace for field
-// semantics.
-type TraceInfo struct {
-	ParseNS    int64 `json:"parse_ns"`
-	PlanCached bool  `json:"plan_cached"`
-
-	TotalNS int64 `json:"total_ns"`
-	WhereNS int64 `json:"where_ns"`
-	AggNS   int64 `json:"agg_ns"`
-	ProjNS  int64 `json:"proj_ns"`
-	SortNS  int64 `json:"sort_ns"`
-
-	Rows       int   `json:"rows"`
-	Bindings   int64 `json:"bindings"`
-	MatchCalls int64 `json:"match_calls"`
-	Matched    int64 `json:"matched"`
-
-	// Vectorized-execution counters: whether any part of the query ran
-	// batch-at-a-time, and the batches/rows its pipelines emitted.
-	Vectorized bool  `json:"vectorized,omitempty"`
-	VecBatches int64 `json:"vec_batches,omitempty"`
-	VecRows    int64 `json:"vec_rows,omitempty"`
-
-	// Batch-native aggregation / vectorized ORDER BY counters.
-	VecAggGroups int64 `json:"vec_agg_groups,omitempty"`
-	VecSortRows  int64 `json:"vec_sort_rows,omitempty"`
-	VecSortTopK  int64 `json:"vec_sort_topk,omitempty"`
-
-	ChunkFetches int64 `json:"chunk_fetches"`
-	ChunkWaitNS  int64 `json:"chunk_wait_ns"`
-
-	// Distributed-execution counters, set when the query ran through a
-	// shard coordinator: the dispatch mode ("pushdown" or "gather"),
-	// the topology width, and the per-query shard traffic.
-	ShardMode  string `json:"shard_mode,omitempty"`
-	Shards     int    `json:"shards,omitempty"`
-	ShardCalls int64  `json:"shard_calls,omitempty"`
-	ShardRows  int64  `json:"shard_rows,omitempty"`
-
-	Error string `json:"error,omitempty"`
-	Plan  string `json:"plan"`
+	Trace *engine.Trace `json:"trace,omitempty"`
 }
 
 // EncodeTerm converts an RDF term to its wire form.

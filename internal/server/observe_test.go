@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"scisparql/internal/core"
+	"scisparql/internal/engine"
 	"scisparql/internal/metrics"
 	"scisparql/internal/ssdmclient"
 	"scisparql/internal/storage"
@@ -67,7 +68,7 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	if err := cl.LoadTurtle(observeData, ""); err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := cl.ExplainAnalyze(context.Background(), observeQuery, ssdmclient.Guards{})
+	res, tr, err := cl.ExplainAnalyze(context.Background(), observeQuery, engine.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +81,8 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	if tr.Rows != 3 {
 		t.Errorf("trace rows = %d, want 3", tr.Rows)
 	}
-	if tr.TotalNS <= 0 || tr.WhereNS <= 0 {
-		t.Errorf("timings not populated: total=%d where=%d", tr.TotalNS, tr.WhereNS)
+	if tr.TotalNanos <= 0 || tr.WhereNanos <= 0 {
+		t.Errorf("timings not populated: total=%d where=%d", tr.TotalNanos, tr.WhereNanos)
 	}
 	// The query vectorizes fully by default, so the counters crossing
 	// the wire are the batch ones and the plan shows the vec pipeline.
@@ -96,7 +97,7 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	}
 
 	// Second run of the same text must hit the compiled-query cache.
-	_, tr2, err := cl.ExplainAnalyze(context.Background(), observeQuery, ssdmclient.Guards{})
+	_, tr2, err := cl.ExplainAnalyze(context.Background(), observeQuery, engine.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestExplainAnalyzeTraceOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, tr, err := cl.ExplainAnalyze(context.Background(), observeQuery,
-		ssdmclient.Guards{MaxBindings: 1})
+		engine.Limits{MaxBindings: 1})
 	if err == nil {
 		t.Fatal("want guard error")
 	}
@@ -265,7 +266,7 @@ func TestObservabilityStress(t *testing.T) {
 						return
 					}
 				} else {
-					if _, _, err := cl.ExplainAnalyze(context.Background(), observeQuery, ssdmclient.Guards{}); err != nil {
+					if _, _, err := cl.ExplainAnalyze(context.Background(), observeQuery, engine.Limits{}); err != nil {
 						errs <- err
 						return
 					}

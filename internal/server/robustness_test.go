@@ -77,7 +77,7 @@ func TestWireDeadlineOnCrossProduct(t *testing.T) {
 	cl := connect()
 	start := time.Now()
 	_, err := cl.QueryGuarded(context.Background(), crossProduct3,
-		ssdmclient.Guards{Timeout: 100 * time.Millisecond})
+		engine.Limits{Timeout: 100 * time.Millisecond})
 	elapsed := time.Since(start)
 	if !errors.Is(err, engine.ErrQueryTimeout) {
 		t.Fatalf("want ErrQueryTimeout over the wire, got %v", err)
@@ -104,12 +104,12 @@ func TestWireResourceLimit(t *testing.T) {
 	_, connect := startBigServer(t, 100)
 	cl := connect()
 	_, err := cl.QueryGuarded(context.Background(),
-		`SELECT * WHERE { ?s <http://ex/p> ?v }`, ssdmclient.Guards{MaxRows: 10})
+		`SELECT * WHERE { ?s <http://ex/p> ?v }`, engine.Limits{MaxResultRows: 10})
 	if !errors.Is(err, engine.ErrResourceLimit) {
 		t.Fatalf("want ErrResourceLimit, got %v", err)
 	}
 	_, err = cl.QueryGuarded(context.Background(), crossProduct3,
-		ssdmclient.Guards{MaxBindings: 1000})
+		engine.Limits{MaxBindings: 1000})
 	if !errors.Is(err, engine.ErrResourceLimit) {
 		t.Fatalf("want ErrResourceLimit for bindings budget, got %v", err)
 	}
@@ -265,7 +265,7 @@ func TestWireGuardsCannotLoosenDefaults(t *testing.T) {
 	cl := connect()
 	start := time.Now()
 	_, err := cl.QueryGuarded(context.Background(), crossProduct3,
-		ssdmclient.Guards{Timeout: time.Hour, MaxBindings: 1 << 60})
+		engine.Limits{Timeout: time.Hour, MaxBindings: 1 << 60})
 	if !errors.Is(err, engine.ErrQueryTimeout) && !errors.Is(err, engine.ErrResourceLimit) {
 		t.Fatalf("want a guard violation despite loose request guards, got %v", err)
 	}
@@ -276,7 +276,7 @@ func TestWireGuardsCannotLoosenDefaults(t *testing.T) {
 	rowConnect := startGuardedServer(t, core.Options{MaxResultRows: 5}, 50)
 	rcl := rowConnect()
 	_, err = rcl.QueryGuarded(context.Background(),
-		`SELECT * WHERE { ?s <http://ex/p> ?v }`, ssdmclient.Guards{MaxRows: 1000})
+		`SELECT * WHERE { ?s <http://ex/p> ?v }`, engine.Limits{MaxResultRows: 1000})
 	if !errors.Is(err, engine.ErrResourceLimit) {
 		t.Fatalf("want ErrResourceLimit under the server row cap, got %v", err)
 	}
@@ -291,7 +291,7 @@ func TestWireGuardsOnExecuteAndUpdate(t *testing.T) {
 
 	start := time.Now()
 	_, err := cl.ExecuteGuarded(context.Background(), crossProduct3,
-		ssdmclient.Guards{Timeout: 100 * time.Millisecond})
+		engine.Limits{Timeout: 100 * time.Millisecond})
 	var se *ssdmclient.ServerError
 	if !errors.As(err, &se) || se.Code != "timeout" {
 		t.Fatalf("want wire code %q on execute, got %v", "timeout", err)
@@ -303,14 +303,14 @@ func TestWireGuardsOnExecuteAndUpdate(t *testing.T) {
 	const runawayUpdate = `INSERT { ?a <http://ex/q> ?y } WHERE {
 	  ?a <http://ex/p> ?x . ?b <http://ex/p> ?y . ?c <http://ex/p> ?z }`
 	_, err = cl.UpdateGuarded(context.Background(), runawayUpdate,
-		ssdmclient.Guards{MaxBindings: 1000})
+		engine.Limits{MaxBindings: 1000})
 	if !errors.As(err, &se) || se.Code != "resource_limit" {
 		t.Fatalf("want wire code %q on update, got %v", "resource_limit", err)
 	}
 
 	// Update inside an execute script is bounded too.
 	_, err = cl.ExecuteGuarded(context.Background(), runawayUpdate,
-		ssdmclient.Guards{MaxBindings: 1000})
+		engine.Limits{MaxBindings: 1000})
 	if !errors.Is(err, engine.ErrResourceLimit) {
 		t.Fatalf("want ErrResourceLimit on script update, got %v", err)
 	}

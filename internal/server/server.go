@@ -373,11 +373,7 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 	if err := ctx.Err(); err != nil {
 		return &protocol.Response{OK: false, Error: "server shutting down", Code: protocol.CodeShutdown}
 	}
-	lim := engine.Limits{
-		MaxResultRows: req.MaxRows,
-		MaxBindings:   req.MaxBindings,
-		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
-	}
+	lim := req.Limits()
 	switch req.Op {
 	case protocol.OpPing:
 		return &protocol.Response{OK: true}
@@ -436,20 +432,18 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 			return &protocol.Response{OK: true, Explain: plan}
 		}
 		res, tr, err := s.DB.QueryAnalyze(ctx, req.Text, lim)
+		var resp *protocol.Response
 		if err != nil {
-			// The trace survives execution failure (timeout, budget):
-			// return it alongside the error so the client sees where the
-			// time went.
-			resp := fail(err)
-			if tr != nil {
-				resp.Trace = encodeTrace(tr)
-				resp.Explain = tr.String()
-			}
-			return resp
+			resp = fail(err)
+		} else {
+			resp = encodeResults(res)
 		}
-		resp := encodeResults(res)
-		resp.Trace = encodeTrace(tr)
-		resp.Explain = tr.String()
+		// The trace survives execution failure (timeout, budget): it
+		// rides alongside the error so the client sees where the time
+		// went.
+		if tr != nil {
+			resp.Trace, resp.Explain = tr, tr.String()
+		}
 		return resp
 	case protocol.OpStats:
 		return &protocol.Response{OK: true, Stats: s.DB.MetricsSnapshot()}
@@ -458,64 +452,8 @@ func (s *Server) handleOp(req *protocol.Request) (resp *protocol.Response) {
 	}
 }
 
-// encodeTrace converts an engine execution trace to its wire form.
-func encodeTrace(tr *engine.Trace) *protocol.TraceInfo {
-	if tr == nil {
-		return nil
-	}
-	return &protocol.TraceInfo{
-		ParseNS:      tr.ParseNanos,
-		PlanCached:   tr.PlanCached,
-		TotalNS:      tr.TotalNanos,
-		WhereNS:      tr.WhereNanos,
-		AggNS:        tr.AggNanos,
-		ProjNS:       tr.ProjNanos,
-		SortNS:       tr.SortNanos,
-		Rows:         tr.Rows,
-		Bindings:     tr.Bindings,
-		MatchCalls:   tr.MatchCalls,
-		Matched:      tr.Matched,
-		Vectorized:   tr.Vectorized,
-		VecBatches:   tr.VecBatches,
-		VecRows:      tr.VecRows,
-		VecAggGroups: tr.VecAggGroups,
-		VecSortRows:  tr.VecSortRows,
-		VecSortTopK:  tr.VecSortTopK,
-		ChunkFetches: tr.ChunkFetches,
-		ChunkWaitNS:  tr.ChunkWaitNanos,
-		ShardMode:    tr.ShardMode,
-		Shards:       tr.Shards,
-		ShardCalls:   tr.ShardCalls,
-		ShardRows:    tr.ShardRows,
-		Error:        tr.Error,
-		Plan:         tr.Plan,
-	}
-}
-
 func fail(err error) *protocol.Response {
-	return &protocol.Response{OK: false, Error: err.Error(), Code: errorCode(err)}
-}
-
-// errorCode maps the engine's typed errors to wire error codes so
-// clients can distinguish "your query timed out" from "your query is
-// malformed" without parsing message text.
-func errorCode(err error) string {
-	switch {
-	case errors.Is(err, engine.ErrQueryTimeout) || errors.Is(err, context.DeadlineExceeded):
-		return protocol.CodeTimeout
-	case errors.Is(err, engine.ErrResourceLimit):
-		return protocol.CodeResourceLimit
-	case errors.Is(err, engine.ErrQueryCancelled) || errors.Is(err, context.Canceled):
-		return protocol.CodeCancelled
-	case errors.Is(err, engine.ErrInternal):
-		return protocol.CodeInternal
-	case errors.Is(err, core.ErrDurability):
-		return protocol.CodeDurability
-	case errors.Is(err, core.ErrShardUnavailable):
-		return protocol.CodeShardUnavailable
-	default:
-		return protocol.CodeError
-	}
+	return &protocol.Response{OK: false, Error: err.Error(), Code: core.ErrorCode(err)}
 }
 
 // encodeResults converts a solution table to its wire form. All rows

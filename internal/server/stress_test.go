@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"scisparql/internal/engine"
 	"scisparql/internal/ssdmclient"
 )
 
@@ -39,7 +40,7 @@ func TestStressCancellationAndShutdown(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
 				_, err := cl.QueryGuarded(context.Background(), crossProduct3,
-					ssdmclient.Guards{Timeout: 20 * time.Millisecond})
+					engine.Limits{Timeout: 20 * time.Millisecond})
 				if err == nil {
 					report(fmt.Errorf("runaway query completed"))
 					return

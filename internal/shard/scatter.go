@@ -2,21 +2,21 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"sync"
 
-	"scisparql/internal/engine"
+	"scisparql/internal/core"
+	"scisparql/internal/protocol"
 )
 
-// isTyped reports whether an error is one of the engine's typed
-// execution errors (or a bare context error) — failures of the query,
-// not of the shard, which must keep their type across the coordinator.
+// isTyped reports whether an error belongs to a class that is a
+// failure of the query, not of the shard (timeout, cancellation,
+// resource limit); such errors keep their type across the coordinator.
 func isTyped(err error) bool {
-	return errors.Is(err, engine.ErrQueryTimeout) ||
-		errors.Is(err, engine.ErrQueryCancelled) ||
-		errors.Is(err, engine.ErrResourceLimit) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
+	switch core.ErrorCode(err) {
+	case protocol.CodeTimeout, protocol.CodeCancelled, protocol.CodeResourceLimit:
+		return true
+	}
+	return false
 }
 
 // scatter runs fn once per shard, each on its own goroutine, and

@@ -118,11 +118,6 @@ func NewRemoteShard(name string, c *ssdmclient.Client) *RemoteShard {
 // Name implements Shard.
 func (r *RemoteShard) Name() string { return r.name }
 
-// guards maps engine limits onto wire-level request guards.
-func guards(lim engine.Limits) ssdmclient.Guards {
-	return ssdmclient.Guards{Timeout: lim.Timeout, MaxRows: lim.MaxResultRows, MaxBindings: lim.MaxBindings}
-}
-
 // Scan implements Shard by sending the pattern as a SELECT (or ASK,
 // when fully bound) to the peer and replaying the decoded rows
 // through emit.
@@ -140,7 +135,7 @@ func (r *RemoteShard) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p
 	add(p, "?p")
 	add(o, "?o")
 	if len(sel) == 0 {
-		res, err := r.c.QueryGuarded(ctx, "ASK { "+strings.Join(pat, " ")+" }", ssdmclient.Guards{})
+		res, err := r.c.QueryGuarded(ctx, "ASK { "+strings.Join(pat, " ")+" }", engine.Limits{})
 		if err != nil {
 			return err
 		}
@@ -150,7 +145,7 @@ func (r *RemoteShard) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p
 		return nil
 	}
 	q := "SELECT " + strings.Join(sel, " ") + " WHERE { " + strings.Join(pat, " ") + " }"
-	res, err := r.c.QueryGuarded(ctx, q, ssdmclient.Guards{})
+	res, err := r.c.QueryGuarded(ctx, q, engine.Limits{})
 	if err != nil {
 		return err
 	}
@@ -177,7 +172,7 @@ func (r *RemoteShard) Scan(ctx context.Context, s, p, o rdf.Term, emit func(s, p
 
 // Query implements Shard.
 func (r *RemoteShard) Query(ctx context.Context, src string, lim engine.Limits) (*engine.Results, error) {
-	res, err := r.c.QueryGuarded(ctx, src, guards(lim))
+	res, err := r.c.QueryGuarded(ctx, src, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +185,7 @@ func (r *RemoteShard) Query(ctx context.Context, src string, lim engine.Limits) 
 
 // Update implements Shard.
 func (r *RemoteShard) Update(ctx context.Context, src string, lim engine.Limits) (int, error) {
-	return r.c.UpdateGuarded(ctx, src, guards(lim))
+	return r.c.UpdateGuarded(ctx, src, lim)
 }
 
 // AddArrayTriple implements Shard; the array ships inline and is

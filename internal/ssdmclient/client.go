@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"scisparql/internal/array"
+	"scisparql/internal/core"
 	"scisparql/internal/engine"
 	"scisparql/internal/protocol"
 	"scisparql/internal/rdf"
@@ -117,48 +118,23 @@ func (c *Client) Close() error {
 }
 
 // ServerError is a failure reported by the server with the stream
-// still aligned. Its Code (one of the protocol.Code constants) makes
-// it classifiable with errors.Is against the engine's typed errors:
+// still aligned. It unwraps to the sentinel of its Code's class
+// (core.CodeSentinel), so errors.Is classifies it as it would the
+// server-side error:
 //
-//	errors.Is(err, engine.ErrQueryTimeout)  // code "timeout"
-//	errors.Is(err, engine.ErrResourceLimit) // code "resource_limit"
+//	errors.Is(err, core.ErrQueryTimeout)  // code "timeout"
+//	errors.Is(err, core.ErrDurability)    // code "durability"
 type ServerError struct {
-	Code string
+	Code string // one of the protocol.Code constants
 	Msg  string
 }
 
 // Error formats the server-reported failure.
 func (e *ServerError) Error() string { return "ssdm: " + e.Msg }
 
-// Is maps wire error codes back onto the engine's sentinel errors.
-func (e *ServerError) Is(target error) bool {
-	switch target {
-	case engine.ErrQueryTimeout:
-		return e.Code == protocol.CodeTimeout
-	case engine.ErrResourceLimit:
-		return e.Code == protocol.CodeResourceLimit
-	case engine.ErrQueryCancelled:
-		return e.Code == protocol.CodeCancelled
-	case engine.ErrInternal:
-		return e.Code == protocol.CodeInternal
-	}
-	return false
-}
-
-// Guards are per-request execution bounds shipped with a query. Zero
-// fields defer to the server's configured defaults; non-zero fields
-// can tighten them, never loosen.
-type Guards struct {
-	Timeout     time.Duration // wall-clock deadline for the request
-	MaxRows     int           // cap on result rows
-	MaxBindings int64         // cap on intermediate bindings
-}
-
-func (g Guards) apply(req *protocol.Request) {
-	req.TimeoutMS = int64(g.Timeout / time.Millisecond)
-	req.MaxRows = g.MaxRows
-	req.MaxBindings = g.MaxBindings
-}
+// Unwrap returns the sentinel of the error's class, nil for the
+// generic class.
+func (e *ServerError) Unwrap() error { return core.CodeSentinel(e.Code) }
 
 // roundTrip issues one request and reads its response, redialing and
 // retrying per the reconnect policy. idempotent marks requests that
@@ -175,11 +151,11 @@ func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempoten
 		if attempt > 0 {
 			// Exponential backoff before each retry.
 			if err := sleepCtx(ctx, c.backoff<<(attempt-1)); err != nil {
-				return nil, ctxError(ctx)
+				return nil, engine.ContextErr(ctx)
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, ctxError(ctx)
+			return nil, engine.ContextErr(ctx)
 		}
 		if c.broken != nil {
 			// The request has not been sent on this connection, so a
@@ -207,7 +183,7 @@ func (c *Client) roundTrip(ctx context.Context, req *protocol.Request, idempoten
 		if cerr := ctx.Err(); cerr != nil {
 			// The transport error is collateral of our own deadline
 			// poke or cancellation; report the context cause.
-			return nil, ctxError(ctx)
+			return nil, engine.ContextErr(ctx)
 		}
 		lastErr = err
 		if !idempotent {
@@ -280,15 +256,6 @@ func (c *Client) breakConn(err error) error {
 	c.broken = err
 	c.conn.Close()
 	return err
-}
-
-// ctxError maps a finished context to the engine's typed errors, so a
-// client-side deadline reads the same as a server-side one.
-func ctxError(ctx context.Context) error {
-	if err := engine.ContextErr(ctx); err != nil {
-		return err
-	}
-	return ctx.Err()
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -367,21 +334,23 @@ func decodeResult(resp *protocol.Response) (*Result, error) {
 
 // Query runs a SciSPARQL query on the server.
 func (c *Client) Query(q string) (*Result, error) {
-	return c.QueryGuarded(context.Background(), q, Guards{})
+	return c.QueryGuarded(context.Background(), q, engine.Limits{})
 }
 
 // QueryContext is Query under a context. Queries are read-only, hence
 // idempotent: a query cut off by a transport failure is retried on a
 // fresh connection with exponential backoff.
 func (c *Client) QueryContext(ctx context.Context, q string) (*Result, error) {
-	return c.QueryGuarded(ctx, q, Guards{})
+	return c.QueryGuarded(ctx, q, engine.Limits{})
 }
 
 // QueryGuarded is QueryContext with per-request execution bounds
-// enforced server-side.
-func (c *Client) QueryGuarded(ctx context.Context, q string, g Guards) (*Result, error) {
+// enforced server-side. Zero fields of lim defer to the server's
+// configured guards; set fields tighten them, never loosen them
+// (engine.Limits.Tighten). The timeout travels in whole milliseconds.
+func (c *Client) QueryGuarded(ctx context.Context, q string, lim engine.Limits) (*Result, error) {
 	req := &protocol.Request{Op: protocol.OpQuery, Text: q}
-	g.apply(req)
+	req.SetLimits(lim)
 	resp, err := c.roundTrip(ctx, req, true)
 	if err != nil {
 		return nil, err
@@ -413,9 +382,9 @@ func (c *Client) ExplainContext(ctx context.Context, q string) (string, error) {
 // When the query fails under a guard (timeout, bindings budget), the
 // error is returned together with the partial trace — the trace shows
 // where the time went.
-func (c *Client) ExplainAnalyze(ctx context.Context, q string, g Guards) (*Result, *protocol.TraceInfo, error) {
+func (c *Client) ExplainAnalyze(ctx context.Context, q string, lim engine.Limits) (*Result, *engine.Trace, error) {
 	req := &protocol.Request{Op: protocol.OpExplain, Text: q, Analyze: true}
-	g.apply(req)
+	req.SetLimits(lim)
 	resp, err := c.roundTrip(ctx, req, true)
 	if err != nil {
 		if resp != nil {
@@ -440,15 +409,15 @@ func (c *Client) Execute(text string) (*Result, error) {
 // updates, so Execute is NOT retried after a mid-call transport
 // failure (the server may have run part of the script).
 func (c *Client) ExecuteContext(ctx context.Context, text string) (*Result, error) {
-	return c.ExecuteGuarded(ctx, text, Guards{})
+	return c.ExecuteGuarded(ctx, text, engine.Limits{})
 }
 
 // ExecuteGuarded is ExecuteContext with per-request execution bounds
 // enforced server-side on every statement in the script — queries and
 // the WHERE evaluation of updates alike.
-func (c *Client) ExecuteGuarded(ctx context.Context, text string, g Guards) (*Result, error) {
+func (c *Client) ExecuteGuarded(ctx context.Context, text string, lim engine.Limits) (*Result, error) {
 	req := &protocol.Request{Op: protocol.OpExecute, Text: text}
-	g.apply(req)
+	req.SetLimits(lim)
 	resp, err := c.roundTrip(ctx, req, false)
 	if err != nil {
 		return nil, err
@@ -464,15 +433,15 @@ func (c *Client) Update(text string) (int, error) {
 // UpdateContext is Update under a context. Not idempotent: never
 // auto-retried after a send.
 func (c *Client) UpdateContext(ctx context.Context, text string) (int, error) {
-	return c.UpdateGuarded(ctx, text, Guards{})
+	return c.UpdateGuarded(ctx, text, engine.Limits{})
 }
 
 // UpdateGuarded is UpdateContext with per-request execution bounds
 // enforced server-side: the timeout and bindings budget bound the
 // statement's WHERE evaluation (MaxRows does not apply to updates).
-func (c *Client) UpdateGuarded(ctx context.Context, text string, g Guards) (int, error) {
+func (c *Client) UpdateGuarded(ctx context.Context, text string, lim engine.Limits) (int, error) {
 	req := &protocol.Request{Op: protocol.OpUpdate, Text: text}
-	g.apply(req)
+	req.SetLimits(lim)
 	resp, err := c.roundTrip(ctx, req, false)
 	if err != nil {
 		return 0, err
